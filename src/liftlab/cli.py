@@ -58,6 +58,8 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         with open(args.config, encoding="utf-8") as handle:
             data = json.load(handle)
+        if not isinstance(data, dict):
+            raise UsageError("the config file must hold a JSON object")
         unknown = set(data) - set(_CONFIG_KEYS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -76,16 +78,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _merge_config(args)
         report = run(config)
-    except UsageError as err:
+        text = report.to_json()
+        if config.out:
+            with open(config.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    text = report.to_json()
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
     sys.stdout.write(text)
     return 0 if report.verdict in ("pass", "witness-found") else 1
 

@@ -5,7 +5,10 @@ A degree-d cover of the two-petal rose is a pair of permutations of
 cover isomorphism. Enumeration generates each isomorphism class exactly
 once by producing only pairs whose labels agree with the breadth-first
 labeling from point 0 and keeping those whose BFS code is minimal over all
-start points.
+start points. Minimality is tested on every partial table, as in Sims'
+low-index subgroups algorithm (C. C. Sims, *Computation with Finitely
+Presented Groups*, 1994, ch. 5), so a branch is cut as soon as some start
+point's code is already smaller.
 
 The obstruction: a connected cover compatible with the binary solenoid side
 must have a petal cycle of length d with d a power of 2, and with the
@@ -125,39 +128,29 @@ def cyclic_quotient_compatible(
 _SLOTS_PER_POINT = 4  # sigma_a, sigma_a^-1, sigma_b, sigma_b^-1
 
 
-def _bfs_code_compare(sigma, inverse, d: int, start: int) -> int:
-    """Compare the BFS code from ``start`` against the identity labeling.
+def _code_compare(tables, d: int, start: int) -> int:
+    """Compare the partial BFS code from ``start`` with the identity code.
 
-    Returns -1 / 0 / +1 as the code from ``start`` is smaller / equal /
-    larger. Codes are compared entry by entry so a difference exits early.
+    ``tables`` holds the four slot tables, -1 marking an undefined entry.
+    Entries are compared in order up to the first one undefined on either
+    side. Returns -1 / +1 when the code from ``start`` is already smaller /
+    larger, and 0 while undecided; on a complete table 0 means equal.
     """
     label = [-1] * d
-    order = [start]
     label[start] = 0
-    pos = 0
-    while pos < len(order):
-        old = order[pos]
-        for g in (0, 1):
-            for neighbor in (sigma[g][old], inverse[g][old]):
-                if label[neighbor] == -1:
-                    label[neighbor] = len(order)
-                    order.append(neighbor)
-        pos += 1
-    # identity-labeling code entry for slot (x, g, dir) is just the neighbor
-    idx = 0
-    for new_x in range(d):
-        old = order[new_x]
-        for g in (0, 1):
-            for neighbor in (sigma[g][old], inverse[g][old]):
-                relabeled = label[neighbor]
-                x, slot = divmod(idx, _SLOTS_PER_POINT)
-                g_id, direction = divmod(slot, 2)
-                reference = (
-                    sigma[g_id][x] if direction == 0 else inverse[g_id][x]
-                )
-                if relabeled != reference:
-                    return -1 if relabeled < reference else 1
-                idx += 1
+    order = [start]
+    for x, old in enumerate(order):  # order grows as the BFS labels points
+        for table in tables:
+            reference = table[x]
+            neighbor = table[old]
+            if reference == -1 or neighbor == -1:
+                return 0
+            relabeled = label[neighbor]
+            if relabeled == -1:
+                relabeled = label[neighbor] = len(order)
+                order.append(neighbor)
+            if relabeled != reference:
+                return -1 if relabeled < reference else 1
     return 0
 
 
@@ -167,69 +160,58 @@ def iter_connected_coverings(
     """Generate all degree-d connected covers, one per isomorphism class.
 
     Backtracking over partial permutation pairs in breadth-first slot order;
-    fresh points always receive the next label, so every completed pair is
-    BFS-labeled from point 0, and a completed pair is emitted only when its
-    code is minimal among all start points. Exhaustive generation is
-    practical through degree 8 or so; beyond that the class counts explode
-    and the constrained enumerations below are the usable tools.
+    fresh points always receive the next label, so every table is BFS-labeled
+    from point 0 and its code is the identity code. After every slot
+    assignment each start point still undecided is compared with it on the
+    entries defined so far (Sims' minimality test, 1994, ch. 5). Completing
+    a table never changes a defined entry, so a start whose code is already
+    smaller prunes the whole subtree, and one whose code is already larger
+    is dropped for the subtree. A complete table that survives is minimal
+    over all start points and is emitted.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
     if degree > max_degree:
         raise ValueError(f"degree {degree} exceeds the configured bound {max_degree}")
     d = degree
-    if d == 1:
-        yield CoveringPermutationRep(1, (0,), (0,))
-        return
+    tables = [[-1] * d for _ in range(_SLOTS_PER_POINT)]
 
-    sigma = [[-1] * d, [-1] * d]
-    inverse = [[-1] * d, [-1] * d]
-
-    def emit() -> CoveringPermutationRep | None:
-        for start in range(1, d):
-            if _bfs_code_compare(sigma, inverse, d, start) < 0:
+    def undecided(starts: list[int]) -> list[int] | None:
+        alive = []
+        for start in starts:
+            sign = _code_compare(tables, d, start)
+            if sign < 0:
                 return None
-        return CoveringPermutationRep(d, tuple(sigma[0]), tuple(sigma[1]))
+            if sign == 0:
+                alive.append(start)
+        return alive
 
-    def solve(slot: int, labeled: int) -> Iterator[CoveringPermutationRep]:
+    def solve(
+        slot: int, labeled: int, starts: list[int]
+    ) -> Iterator[CoveringPermutationRep]:
         while slot < labeled * _SLOTS_PER_POINT:
-            x, rest = divmod(slot, _SLOTS_PER_POINT)
-            g, direction = divmod(rest, 2)
-            if direction == 0 and sigma[g][x] == -1:
-                break
-            if direction == 1 and inverse[g][x] == -1:
+            x, kind = divmod(slot, _SLOTS_PER_POINT)
+            if tables[kind][x] == -1:
                 break
             slot += 1
         else:
             if labeled == d:
-                rep = emit()
-                if rep is not None:
-                    yield rep
+                yield CoveringPermutationRep(d, tuple(tables[0]), tuple(tables[2]))
             return
 
-        x, rest = divmod(slot, _SLOTS_PER_POINT)
-        g, direction = divmod(rest, 2)
-        candidates = list(range(labeled)) + ([labeled] if labeled < d else [])
-        for v in candidates:
+        table, partner = tables[kind], tables[kind ^ 1]
+        for v in range(min(labeled + 1, d)):
             fresh = v == labeled
-            if direction == 0:
-                if not fresh and inverse[g][v] != -1:
-                    continue
-                sigma[g][x] = v
-                inverse[g][v] = x
-                yield from solve(slot + 1, labeled + fresh)
-                sigma[g][x] = -1
-                inverse[g][v] = -1
-            else:
-                if not fresh and sigma[g][v] != -1:
-                    continue
-                inverse[g][x] = v
-                sigma[g][v] = x
-                yield from solve(slot + 1, labeled + fresh)
-                inverse[g][x] = -1
-                sigma[g][v] = -1
+            if not fresh and partner[v] != -1:
+                continue
+            table[x] = v
+            partner[v] = x
+            alive = undecided(starts)
+            if alive is not None:
+                yield from solve(slot + 1, labeled + fresh, alive)
+            table[x] = partner[v] = -1
 
-    yield from solve(0, 1)
+    yield from solve(0, 1, list(range(1, d)))
 
 
 def enumerate_connected_coverings(

@@ -63,10 +63,6 @@ def inverse_word(word: LoopWord) -> LoopWord:
     return tuple((label, -exp) for label, exp in reversed(word))
 
 
-def word_to_str(word: LoopWord) -> str:
-    return " ".join(label if exp == 1 else f"{label}^{exp}" for label, exp in word)
-
-
 class MonodromySystem:
     """A finite fibre with one bijection per petal of the base rose.
 
@@ -132,6 +128,8 @@ def lift_word_flagged(sys: MonodromySystem, word: LoopWord, start):
     point = start
     crossed = False
     for label, exp in word:
+        if label not in sys.actions:
+            raise ValueError(f"unknown petal {label!r}")
         crossed = crossed or sys.is_clamped_step(label, point, exp)
         point = sys.act(label, point, exp)
     return point, crossed
@@ -472,11 +470,21 @@ def _label_to_json(label):
 
 
 def _label_from_json(data):
-    if isinstance(data, list):
-        if len(data) == 2 and data[0] == "tuple":
-            return tuple(_label_from_json(x) for x in data[1])
+    if isinstance(data, list) and len(data) == 2 and data[0] == "tuple" and (
+        isinstance(data[1], list)
+    ):
+        return tuple(_label_from_json(x) for x in data[1])
+    if isinstance(data, (list, dict)):
         raise ValueError(f"unexpected label encoding: {data!r}")
     return data
+
+
+def _fibre_indices(row, size: int, what: str) -> list[int]:
+    if not isinstance(row, list) or not all(
+        type(i) is int and 0 <= i < size for i in row
+    ):
+        raise ValueError(f"{what} must be a list of fibre indices below {size}")
+    return row
 
 
 def system_to_json(sys: MonodromySystem) -> dict:
@@ -496,18 +504,38 @@ def system_to_json(sys: MonodromySystem) -> dict:
 
 
 def system_from_json(data: dict) -> MonodromySystem:
-    if data.get("kind") != "monodromy-system":
+    """Inverse of ``system_to_json``; a malformed document raises ValueError."""
+    if not isinstance(data, dict) or data.get("kind") != "monodromy-system":
         raise ValueError("not a monodromy-system document")
-    fibre = [_label_from_json(x) for x in data["fibre"]]
-    actions = {
-        petal: {fibre[i]: fibre[j] for i, j in enumerate(data["actions"][petal])}
-        for petal in data["petals"]
-    }
-    clamped = frozenset(
-        (petal, fibre[i]) for petal, i in data.get("clamped", [])
-    )
+    missing = [key for key in ("petals", "fibre", "actions") if key not in data]
+    if missing:
+        raise ValueError(f"monodromy-system document lacks {', '.join(missing)}")
+    petals, fibre_doc, actions_doc = data["petals"], data["fibre"], data["actions"]
+    if not isinstance(petals, list) or not all(isinstance(p, str) for p in petals):
+        raise ValueError("'petals' must be a list of petal labels")
+    if not isinstance(fibre_doc, list):
+        raise ValueError("'fibre' must be a list of fibre labels")
+    if not isinstance(actions_doc, dict) or set(actions_doc) != set(petals):
+        raise ValueError("'actions' must map each petal to a list of fibre indices")
+    fibre = [_label_from_json(x) for x in fibre_doc]
+    actions = {}
+    for petal in petals:
+        row = _fibre_indices(actions_doc[petal], len(fibre), f"action of {petal!r}")
+        if len(row) != len(fibre):
+            raise ValueError(f"action of {petal!r} must have one entry per fibre point")
+        actions[petal] = {fibre[i]: fibre[j] for i, j in enumerate(row)}
+    clamped = data.get("clamped", [])
+    if not isinstance(clamped, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)
+        for pair in clamped
+    ):
+        raise ValueError("'clamped' must be a list of [petal, fibre index] pairs")
+    _fibre_indices([i for _, i in clamped], len(fibre), "clamped points")
     return MonodromySystem(
-        RoseBase(tuple(data["petals"])), fibre, actions, clamped=clamped
+        RoseBase(tuple(petals)),
+        fibre,
+        actions,
+        clamped=frozenset((petal, fibre[i]) for petal, i in clamped),
     )
 
 

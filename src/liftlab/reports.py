@@ -121,7 +121,7 @@ CLAIMS: dict[str, dict[str, str]] = {
 
 
 class UsageError(ValueError):
-    """Invalid experiment name, missing seed, or out-of-range bounds."""
+    """Invalid experiment name, missing seed, or mistyped or out-of-range bounds."""
 
 
 @dataclass
@@ -148,11 +148,20 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; "
                 f"choose from {', '.join(EXPERIMENTS)}"
             )
-        for name in ("precision", "level", "horizon", "depth", "max_degree",
-                     "words", "circles"):
+        for name in ("out", "word", "start", "system"):
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise UsageError(f"--{name.replace('_', '-')} must be >= 1")
+            if value is not None and not isinstance(value, str):
+                raise UsageError(f"--{name} must be a string, not {value!r}")
+        for name in ("seed", "precision", "level", "horizon", "depth",
+                     "max_degree", "words", "circles"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            flag = "--" + name.replace("_", "-")
+            if type(value) is not int:
+                raise UsageError(f"{flag} must be an integer, not {value!r}")
+            if value < 1 and name != "seed":
+                raise UsageError(f"{flag} must be >= 1")
         if self.seed is not None and not 0 <= self.seed < 2**64:
             raise UsageError("--seed must fit in 64 bits")
         if self.experiment in RANDOMIZED_EXPERIMENTS and self.seed is None:

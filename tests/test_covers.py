@@ -63,6 +63,30 @@ def brute_force_classes(d):
     return classes
 
 
+def bfs_code(pa, pb, start):
+    """Full code of the labeling by breadth-first search from ``start``.
+
+    Neighbours are taken in the order a, a^-1, b, b^-1; entry (x, slot) is
+    the new label of that neighbour of the point labeled x.
+    """
+    d = len(pa)
+    ia = [0] * d
+    ib = [0] * d
+    for x in range(d):
+        ia[pa[x]] = x
+        ib[pb[x]] = x
+    order = [start]
+    label = {start: 0}
+    for old in order:
+        for y in (pa[old], ia[old], pb[old], ib[old]):
+            if y not in label:
+                label[y] = len(order)
+                order.append(y)
+    return tuple(
+        label[y] for old in order for y in (pa[old], ia[old], pb[old], ib[old])
+    )
+
+
 def hall_subgroup_counts(limit):
     """Index-d subgroup counts of the rank-2 free group, by recursion."""
     counts = {}
@@ -129,6 +153,29 @@ class TestEnumeration:
             reps = enumerate_connected_coverings(d)
             forms = {canonical_form(rep.perm_a, rep.perm_b) for rep in reps}
             assert len(forms) == len(reps)
+
+    def test_reps_are_canonical_to_degree_seven(self):
+        # the code from 0 must be the rep's own labeling and minimal over all
+        # start points; the minimal code is a complete invariant, so equal
+        # minima would be duplicate classes
+        expected = {2: 3, 3: 7, 4: 26, 5: 97, 6: 624, 7: 4163}
+        for d, count in expected.items():
+            reps = enumerate_connected_coverings(d)
+            assert len(reps) == count
+            minima = set()
+            for rep in reps:
+                pa, pb = rep.perm_a, rep.perm_b
+                assert oracle_transitive(pa, pb)
+                ia = [pa.index(x) for x in range(d)]
+                ib = [pb.index(x) for x in range(d)]
+                own = tuple(
+                    y for x in range(d) for y in (pa[x], ia[x], pb[x], ib[x])
+                )
+                codes = [bfs_code(pa, pb, start) for start in range(d)]
+                assert codes[0] == own
+                assert min(codes) == own
+                minima.add(own)
+            assert len(minima) == count
 
     def test_class_counts_against_subgroup_counts(self):
         # sum over classes of (labeled pairs per class) equals the labeled

@@ -77,10 +77,11 @@ class TestLifting:
 
     def test_unknown_petal_and_bad_start(self):
         sys = solenoid_level(2, 2)
-        with pytest.raises(ValueError):
-            lift_word(sys, parse_loop_word("b"), 0)
-        with pytest.raises(ValueError):
-            lift_word(sys, parse_loop_word("a"), 99)
+        for lift in (lift_word, lift_word_flagged):
+            with pytest.raises(ValueError):
+                lift(sys, parse_loop_word("b"), 0)
+            with pytest.raises(ValueError):
+                lift(sys, parse_loop_word("a"), 99)
 
     def test_clamp_flag_reported(self):
         sys = spiral_system(3)
@@ -293,6 +294,29 @@ class TestSerialization:
         )
         back = system_from_json(json.loads(json.dumps(system_to_json(sys))))
         assert back.fibre == ((1, 1), (1, -1))
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "monodromy-system", "petals": ["a"]},
+            {"kind": "monodromy-system", "petals": "a", "fibre": [0], "actions": {}},
+            {"kind": "monodromy-system", "petals": ["a"], "fibre": 3, "actions": {}},
+            {"kind": "monodromy-system", "petals": ["a"], "fibre": [0, 1],
+             "actions": {"b": [1, 0]}},
+            {"kind": "monodromy-system", "petals": ["a"], "fibre": [0, 1],
+             "actions": {"a": [1, -1]}},
+            {"kind": "monodromy-system", "petals": ["a"], "fibre": [0, 1],
+             "actions": {"a": [1]}},
+            {"kind": "monodromy-system", "petals": ["a"], "fibre": [{}, 1],
+             "actions": {"a": [1, 0]}},
+            {"kind": "monodromy-system", "petals": ["a"], "fibre": [0, 1],
+             "actions": {"a": [1, 0]}, "clamped": [["a", 2]]},
+            ["monodromy-system"],
+        ],
+    )
+    def test_malformed_system_document_rejected(self, doc):
+        with pytest.raises(ValueError):
+            system_from_json(doc)
 
     def test_tower_round_trip(self):
         tower = solenoid_tower(2, 3)

@@ -40,6 +40,12 @@ class TestConfig:
         with pytest.raises(UsageError):
             ExperimentConfig(experiment="mt-generate", seed=2**64)
 
+    def test_mistyped_values(self):
+        for field, value in (("level", "3"), ("level", True), ("seed", 1.5),
+                             ("word", 5)):
+            with pytest.raises(UsageError, match="must be"):
+                ExperimentConfig(experiment="solenoid-lift", **{field: value})
+
     def test_seed_mandatory_for_randomized(self):
         for name in RANDOMIZED_EXPERIMENTS:
             with pytest.raises(UsageError, match="seed"):
@@ -141,6 +147,33 @@ class TestCli:
     def test_invalid_bound_usage_error(self):
         result = run_cli("--experiment", "mt-generate", "--level", "0")
         assert result.returncode == 2
+
+    def test_unknown_petal_usage_error(self):
+        result = run_cli("--experiment", "solenoid-lift", "--word", "c")
+        assert result.returncode == 2
+        assert result.stderr == "error: unknown petal 'c'\n"
+
+    def test_unwritable_out_usage_error(self, tmp_path):
+        out = tmp_path / "missing" / "report.json"
+        result = run_cli("--experiment", "mt-generate", "--out", str(out))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1
+
+    def test_mistyped_config_value_usage_error(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"experiment": "mt-generate", "level": "3"}))
+        result = run_cli("--config", str(config))
+        assert result.returncode == 2
+        assert result.stderr == "error: --level must be an integer, not '3'\n"
+
+    def test_malformed_system_usage_error(self, tmp_path):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"kind": "monodromy-system", "petals": ["a"]}))
+        result = run_cli("--experiment", "solenoid-lift", "--system", str(path))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1
 
     def test_out_writes_same_document(self, tmp_path):
         out = tmp_path / "report.json"
