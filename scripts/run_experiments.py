@@ -15,8 +15,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from liftlab.experiments import run  # noqa: E402
-from liftlab.reports import EXPERIMENTS, RANDOMIZED_EXPERIMENTS, ExperimentConfig  # noqa: E402
+from liftlab.experiments import SPECS, ExperimentConfig, run  # noqa: E402
 
 
 def main() -> int:
@@ -29,8 +28,8 @@ def main() -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     failures = 0
-    for name in EXPERIMENTS:
-        seed = args.seed if name in RANDOMIZED_EXPERIMENTS else None
+    for name, spec in SPECS.items():
+        seed = args.seed if spec.seeded else None
         report = run(ExperimentConfig(experiment=name, seed=seed))
         path = out_dir / f"{name}.json"
         path.write_text(report.to_json(), encoding="utf-8")

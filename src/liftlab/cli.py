@@ -11,45 +11,41 @@ import argparse
 import json
 import sys
 
-from .experiments import run
-from .reports import EXPERIMENTS, ExperimentConfig, UsageError
+from .experiments import KNOB_TYPES, SPECS, ExperimentConfig, UsageError, flag, run
 
-_CONFIG_KEYS = (
-    "experiment",
-    "seed",
-    "out",
-    "precision",
-    "level",
-    "horizon",
-    "depth",
-    "max_degree",
-    "words",
-    "circles",
-    "word",
-    "start",
-    "system",
-)
+
+def _epilog() -> str:
+    lines = ["experiments (* draws samples: needs --seed) and their options:"]
+    for name, spec in SPECS.items():
+        lines.append(f"  {name}{'*' if spec.seeded else ''}")
+        for key, knob in spec.knobs.items():
+            default = knob.default.__doc__ if callable(knob.default) else knob.default
+            text = f"    {flag(key):14s} default {'unset' if default is None else default}"
+            if knob.low is not None:
+                text += f", at least {knob.low}"
+            if knob.high is not None:
+                text += f", at most {knob.high}"
+            lines.append(text)
+    lines.append(
+        "Numeric options are positive integers. A value outside its bounds "
+        "exits 2 before any work starts."
+    )
+    return "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liftlab",
         description="Run one named experiment and print its JSON report.",
+        epilog=_epilog(),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("--experiment", choices=EXPERIMENTS)
+    parser.add_argument("--experiment", choices=SPECS)
     parser.add_argument("--config", help="JSON file with option defaults")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out", help="also write the report to this path")
-    parser.add_argument("--precision", type=int)
-    parser.add_argument("--level", type=int)
-    parser.add_argument("--horizon", type=int)
-    parser.add_argument("--depth", type=int)
-    parser.add_argument("--max-degree", type=int, dest="max_degree")
-    parser.add_argument("--words", type=int)
-    parser.add_argument("--circles", type=int)
-    parser.add_argument("--word", help="loop word, e.g. 'a^5' or 'a b^-1'")
-    parser.add_argument("--start", help="start fibre point for lifts")
-    parser.add_argument("--system", help="monodromy system JSON to lift in")
+    for key, kind in KNOB_TYPES.items():
+        parser.add_argument(flag(key), dest=key, type=kind)
     return parser
 
 
@@ -60,16 +56,12 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
             data = json.load(handle)
         if not isinstance(data, dict):
             raise UsageError("the config file must hold a JSON object")
-        unknown = set(data) - set(_CONFIG_KEYS)
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
         merged.update(data)
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    if "experiment" not in merged:
-        raise UsageError("an experiment name is required (--experiment)")
+    merged.update(
+        (key, value)
+        for key, value in vars(args).items()
+        if key != "config" and value is not None
+    )
     return ExperimentConfig(**merged)
 
 

@@ -1,22 +1,32 @@
 """The named experiments behind the command line driver.
 
-Each runner takes an :class:`ExperimentConfig`, fills in its defaults,
-computes a deterministic payload, and returns a verdict from the closed
-vocabulary. Randomized runners derive every sample from the config seed;
-nothing reads ambient randomness or the clock (wall time is measured by
-the orchestrator, outside the deterministic region).
+``SPECS`` declares each experiment once: its runner, its claim, whether it
+draws random samples, and its knobs with their types, defaults and bounds.
+Config validation, the command line flags, ``--help`` and the config echoed
+into each report all read it. A runner receives resolved knob values (and
+the seed, if it draws samples), computes a deterministic payload, and
+returns it with a verdict from the closed vocabulary. Randomized runners
+derive every sample from the seed; nothing reads ambient randomness or the
+clock (wall time is measured by the orchestrator, outside the deterministic
+region).
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from time import perf_counter
+from typing import Callable
 
 from . import amalgam, covers, hawaiian, lifting, symdyn
 from .profinite import TruncatedPadic, rigidity_witness
-from .reports import CLAIMS, ExperimentConfig, Report, UsageError, frac_str
+from .reports import Report, frac_str
+
+
+class UsageError(ValueError):
+    """Invalid experiment name, missing seed, or mistyped or out-of-range knobs."""
 
 
 def _witness_json(witness: symdyn.OrbitPairWitness, display_radius: int = 8) -> dict:
@@ -34,37 +44,29 @@ def _witness_json(witness: symdyn.OrbitPairWitness, display_radius: int = 8) -> 
 # ---------------------------------------------------------------------------
 
 
-def run_mt_generate(cfg: ExperimentConfig):
-    n = cfg.level if cfg.level is not None else 5
-    word = symdyn.mt_substitution(n)
-    doubling = symdyn.mt_doubling(n)
+def run_mt_generate(level: int):
+    word = symdyn.mt_substitution(level)
+    doubling = symdyn.mt_doubling(level)
     parity = symdyn.popcount_parity_prefix(len(word))
     ok = word == doubling == parity
     payload = {
-        "n": n,
+        "n": level,
         "length": len(word),
         "word": word,
         "doubling_agrees": word == doubling,
         "popcount_agrees": word == parity,
     }
-    return ("pass" if ok else "fail"), payload, {"level": n}
+    return ("pass" if ok else "fail"), payload
 
 
-def run_mt_dynamics(cfg: ExperimentConfig):
-    prefix_exp = cfg.level if cfg.level is not None else 14
-    if prefix_exp < 8:
-        raise UsageError("--level must be >= 8: the period scan needs 256 symbols")
-    depth = cfg.depth if cfg.depth is not None else 4
-    horizon = cfg.horizon if cfg.horizon is not None else 2 ** (depth + 4)
-    window_count = cfg.words if cfg.words is not None else 192
-
-    prefix = symdyn.mt_prefix(2**prefix_exp)
+def run_mt_dynamics(level: int, depth: int, horizon: int, words: int):
+    prefix = symdyn.mt_prefix(2**level)
     counts = symdyn.factor_counts(prefix, range(1, 7))
     period = symdyn.aperiodicity_check(prefix[:4096], 128)
     gap, gap_factor = symdyn.max_recurrence_gap(prefix, 8)
 
     radius = horizon + max(depth, 2) + 1
-    windows = symdyn.omega0_windows(radius, window_count)
+    windows = symdyn.omega0_windows(radius, words)
     proximal = symdyn.proximal_search(windows, depth, horizon)
     separation = symdyn.non_equicontinuity_witness(windows, depth, horizon)
 
@@ -84,25 +86,17 @@ def run_mt_dynamics(cfg: ExperimentConfig):
         verdict = "no-witness-at-horizon"
     else:
         verdict = "witness-found"
-    effective = {
-        "level": prefix_exp,
-        "depth": depth,
-        "horizon": horizon,
-        "words": window_count,
-    }
-    return verdict, payload, effective
+    return verdict, payload
 
 
-def run_tower_equicontinuity(cfg: ExperimentConfig):
-    top = cfg.level if cfg.level is not None else 8
-    count = cfg.words if cfg.words is not None else 20
-    rng = Random(cfg.seed)
+def run_tower_equicontinuity(level: int, words: int, seed: int):
+    rng = Random(seed)
 
-    cyclic = symdyn.cyclic_mod_tower(2, top)
+    cyclic = symdyn.cyclic_mod_tower(2, level)
     cyclic_table = symdyn.equicontinuity_modulus(cyclic)
 
     random_tables = []
-    for _ in range(count):
+    for _ in range(words):
         tower_seed = rng.randrange(2**32)
         tower = symdyn.random_strict_tower(tower_seed)
         table = symdyn.equicontinuity_modulus(tower)
@@ -135,15 +129,11 @@ def run_tower_equicontinuity(cfg: ExperimentConfig):
         and all(entry["rejected"] for entry in rejected)
     )
     payload = {
-        "cyclic_tower": {"base": 2, "levels": top, "modulus_table": cyclic_table},
+        "cyclic_tower": {"base": 2, "levels": level, "modulus_table": cyclic_table},
         "random_towers": random_tables,
         "rejected_examples": rejected,
     }
-    return ("pass" if ok else "fail"), payload, {
-        "level": top,
-        "words": count,
-        "seed": cfg.seed,
-    }
+    return ("pass" if ok else "fail"), payload
 
 
 def _find_fibre_point(sys: lifting.MonodromySystem, text: str):
@@ -153,26 +143,22 @@ def _find_fibre_point(sys: lifting.MonodromySystem, text: str):
     raise UsageError(f"start point {text!r} is not in the fibre")
 
 
-def run_solenoid_lift(cfg: ExperimentConfig):
-    level = cfg.level if cfg.level is not None else 3
-    word_text = cfg.word if cfg.word is not None else "a^5"
-    start_text = cfg.start if cfg.start is not None else "0"
-
-    if cfg.system is not None:
-        with open(cfg.system, encoding="utf-8") as handle:
+def run_solenoid_lift(level: int, word: str, start: str, system: str | None):
+    if system is not None:
+        with open(system, encoding="utf-8") as handle:
             sys = lifting.system_from_json(json.load(handle))
     else:
         sys = lifting.solenoid_level(2, level)
 
-    word = lifting.parse_loop_word(word_text)
-    start = _find_fibre_point(sys, start_text)
-    endpoint, crossed = lifting.lift_word_flagged(sys, word, start)
+    letters = lifting.parse_loop_word(word)
+    start_point = _find_fibre_point(sys, start)
+    endpoint, crossed = lifting.lift_word_flagged(sys, letters, start_point)
     orbits = lifting.orbit_partition(sys)
     degrees = [lifting.component_cover_degree(sys, orbit) for orbit in orbits]
 
     payload = {
-        "word": word_text,
-        "start": str(start),
+        "word": word,
+        "start": str(start_point),
         "endpoint": str(endpoint),
         "crossed_truncation": crossed,
         "orbit_count": len(orbits),
@@ -182,24 +168,28 @@ def run_solenoid_lift(cfg: ExperimentConfig):
         ],
         "system": lifting.system_to_json(sys),
     }
-    effective = {"level": level, "word": word_text, "start": start_text}
-    if cfg.system is not None:
-        effective["system"] = cfg.system
-    return "pass", payload, effective
+    if system is not None:
+        return "pass", payload
+    # the loop acts by +1 on Z/2^level, transitively
+    exponent_sum = sum(exp for _, exp in letters)
+    ok = (
+        endpoint == (start_point + exponent_sum) % 2**level
+        and [len(orbit) for orbit in orbits] == [2**level]
+        and not crossed
+    )
+    return ("pass" if ok else "fail"), payload
 
 
-def run_amalgam_rigidity(cfg: ExperimentConfig):
-    precision = cfg.precision if cfg.precision is not None else 64
-    samples = cfg.words if cfg.words is not None else 50
-    iterations = cfg.depth if cfg.depth is not None else 30
-    rng = Random(cfg.seed)
+def run_amalgam_rigidity(precision: int, words: int, depth: int, seed: int):
+    """``words`` residues, each doubled ``depth`` times."""
+    rng = Random(seed)
 
     rows = []
     all_diverge = True
-    for _ in range(samples):
+    for _ in range(words):
         residue = rng.randrange(1, 2**precision)
         a = TruncatedPadic(2, precision, residue)
-        report = rigidity_witness(a, iterations)
+        report = rigidity_witness(a, depth)
         all_diverge = all_diverge and report.diverges
         rows.append(
             {
@@ -213,26 +203,14 @@ def run_amalgam_rigidity(cfg: ExperimentConfig):
         )
     payload = {
         "binary_precision": precision,
-        "iterations": iterations,
+        "iterations": depth,
         "samples": rows,
         "all_diverge": all_diverge,
     }
-    effective = {
-        "precision": precision,
-        "words": samples,
-        "depth": iterations,
-        "seed": cfg.seed,
-    }
-    return ("pass" if all_diverge else "fail"), payload, effective
+    return ("pass" if all_diverge else "fail"), payload
 
 
-def run_amalgam_deck(cfg: ExperimentConfig):
-    precision = cfg.precision if cfg.precision is not None else 6
-    if precision > 10:
-        raise UsageError(
-            "--precision is supported up to 10: the pair search is quadratic "
-            "in the fibre"
-        )
+def run_amalgam_deck(precision: int):
     model = amalgam.amalgam_model(precision)
     survivors = amalgam.translation_deck_search(model)
     identity_only = len(survivors) == 1 and survivors[0].binary_offset == 0 and (
@@ -250,20 +228,20 @@ def run_amalgam_deck(cfg: ExperimentConfig):
         ],
         "identity_only": identity_only,
     }
+    ok = identity_only
     if precision <= 4:
-        payload["centralizer_cross_check"] = amalgam.centralizer_deck_search(model)
-    return ("pass" if identity_only else "fail"), payload, {"precision": precision}
+        cross_check = amalgam.centralizer_deck_search(model)
+        payload["centralizer_cross_check"] = cross_check
+        ok = ok and cross_check == sorted(pair.binary_offset for pair in survivors)
+    return ("pass" if ok else "fail"), payload
 
 
-def run_covers_obstruction(cfg: ExperimentConfig):
-    bound = cfg.max_degree if cfg.max_degree is not None else 12
-    if bound > 12:
-        raise UsageError("--max-degree is supported up to 12")
-    exhaustive_to = min(bound, 8)
+def run_covers_obstruction(max_degree: int):
+    exhaustive_to = min(max_degree, 8)
     degrees = {}
     admissible = []
     clean = True
-    for d in range(1, bound + 1):
+    for d in range(1, max_degree + 1):
         entry: dict = {
             "admissible": covers.factorization_obstruction(d),
             "power_of_2": covers.is_power(d, 2),
@@ -272,7 +250,7 @@ def run_covers_obstruction(cfg: ExperimentConfig):
         if entry["admissible"]:
             admissible.append(d)
         if 2 <= d <= exhaustive_to:
-            reps = covers.enumerate_connected_coverings(d, max_degree=bound)
+            reps = covers.enumerate_connected_coverings(d, max_degree=max_degree)
             simultaneous = sum(
                 1
                 for rep in reps
@@ -305,25 +283,17 @@ def run_covers_obstruction(cfg: ExperimentConfig):
         degrees[str(d)] = entry
     ok = clean and admissible == [1]
     payload = {"admissible_degrees": admissible, "degrees": degrees}
-    return ("pass" if ok else "fail"), payload, {"max_degree": bound}
+    return ("pass" if ok else "fail"), payload
 
 
-def run_hawaiian_suite(cfg: ExperimentConfig):
-    circles = cfg.circles if cfg.circles is not None else 16
-    top = cfg.level if cfg.level is not None else 12
-    word_count = cfg.words if cfg.words is not None else 1000
-    if top > circles:
+def run_hawaiian_suite(circles: int, level: int, words: int, seed: int):
+    if level > circles:
         raise UsageError("--level cannot exceed --circles")
-    if top > 12:
-        raise UsageError(
-            "--level is supported up to 12: kernel words are checked against "
-            "every start vector"
-        )
-    rng = Random(cfg.seed)
+    rng = Random(seed)
 
     per_level = []
     ok = True
-    for n in range(1, top + 1):
+    for n in range(1, level + 1):
         graph = hawaiian.hn_graph(n, circles)
         connected = hawaiian.is_connected(graph)
         fibre_size = len(graph.vertices())
@@ -365,21 +335,21 @@ def run_hawaiian_suite(cfg: ExperimentConfig):
         per_level.append(row)
 
     kernel_agreements = 0
-    for _ in range(word_count):
+    for _ in range(words):
         word = hawaiian.random_kernel_word(rng, circles)
-        level = rng.randint(1, top)
-        if hawaiian.kernel_check(word, level):
+        n = rng.randint(1, level)
+        if hawaiian.kernel_check(word, n):
             kernel_agreements += 1
 
-    tower = hawaiian.hn_tower(top)
+    tower = hawaiian.hn_tower(level)
     verdict_strict = lifting.tower_strictness_check(tower)
     commute_ok = True
-    for _ in range(100 if top >= 2 else 0):
-        n = rng.randint(1, top - 1)
+    for _ in range(100 if level >= 2 else 0):
+        n = rng.randint(1, level - 1)
         upper, lower = tower.levels[n], tower.levels[n - 1]
         bond = tower.bonds[n - 1]
         word = tuple(
-            (hawaiian.petal_name(rng.randint(1, top)), rng.choice((1, -1)))
+            (hawaiian.petal_name(rng.randint(1, level)), rng.choice((1, -1)))
             for _ in range(rng.randint(0, 8))
         )
         start = upper.fibre[rng.randrange(len(upper.fibre))]
@@ -388,12 +358,12 @@ def run_hawaiian_suite(cfg: ExperimentConfig):
         commute_ok = commute_ok and left == right
 
     disconnect_demo = not hawaiian.is_connected(
-        hawaiian.hn_graph(min(3, top), circles), omit_circle=1
+        hawaiian.hn_graph(min(3, level), circles), omit_circle=1
     )
 
     ok = (
         ok
-        and kernel_agreements == word_count
+        and kernel_agreements == words
         and verdict_strict.ok
         and commute_ok
         and disconnect_demo
@@ -401,26 +371,19 @@ def run_hawaiian_suite(cfg: ExperimentConfig):
     payload = {
         "circles": circles,
         "levels": per_level,
-        "kernel_words": {"sampled": word_count, "agreed": kernel_agreements},
+        "kernel_words": {"sampled": words, "agreed": kernel_agreements},
         "tower_strict": verdict_strict.ok,
         "lift_bond_commutes": commute_ok,
         "dropping_a_circle_disconnects": disconnect_demo,
         "graph_level_2": hawaiian.hn_graph_to_json(
-            hawaiian.hn_graph(min(2, top), circles)
+            hawaiian.hn_graph(min(2, level), circles)
         ),
     }
-    effective = {
-        "circles": circles,
-        "level": top,
-        "words": word_count,
-        "seed": cfg.seed,
-    }
-    return ("pass" if ok else "fail"), payload, effective
+    return ("pass" if ok else "fail"), payload
 
 
-def run_spiral_orbits(cfg: ExperimentConfig):
-    truncation = cfg.horizon if cfg.horizon is not None else 32
-    sys = lifting.spiral_system(truncation)
+def run_spiral_orbits(horizon: int):
+    sys = lifting.spiral_system(horizon)
     orbits = lifting.orbit_partition(sys)
     degrees = [lifting.component_cover_degree(sys, orbit) for orbit in orbits]
     spiral_orbit = max(orbits, key=len)
@@ -429,12 +392,12 @@ def run_spiral_orbits(cfg: ExperimentConfig):
 
     expected = (
         len(orbits) == 3
-        and sorted(len(o) for o in orbits) == [1, 1, 2 * truncation + 1]
+        and sorted(len(o) for o in orbits) == [1, 1, 2 * horizon + 1]
         and set(closure) == set(spiral_orbit) | {"bot", "top"}
         and top_fixed
     )
     payload = {
-        "truncation": truncation,
+        "truncation": horizon,
         "orbit_sizes": [len(o) for o in orbits],
         "component_degrees": [
             {"size": deg.value, "truncation_flagged": deg.truncation_flagged}
@@ -445,17 +408,14 @@ def run_spiral_orbits(cfg: ExperimentConfig):
         ),
         "boundary_fixed": top_fixed,
     }
-    if truncation <= 16:
+    if horizon <= 16:
         payload["system"] = lifting.system_to_json(sys)
-    return ("pass" if expected else "fail"), payload, {"horizon": truncation}
+    return ("pass" if expected else "fail"), payload
 
 
-def run_rotation_density(cfg: ExperimentConfig):
-    count = cfg.horizon if cfg.horizon is not None else 1000
-    if count < 8:
-        raise UsageError("--horizon must be >= 8 for the gap comparison")
+def run_rotation_density(horizon: int):
     alpha = lifting.golden_ratio_64bit()
-    checkpoints = [count // 4, count // 2, count]
+    checkpoints = [horizon // 4, horizon // 2, horizon]
     gaps = {str(n): lifting.rotation_orbit_gaps(alpha, n) for n in checkpoints}
     control_gaps = {
         str(n): lifting.rotation_orbit_gaps(Fraction(1, 3), n) for n in checkpoints
@@ -475,36 +435,247 @@ def run_rotation_density(cfg: ExperimentConfig):
         "control_constant": control_constant,
     }
     ok = decreasing and control_constant
-    return ("pass" if ok else "fail"), payload, {"horizon": count}
+    return ("pass" if ok else "fail"), payload
 
 
-REGISTRY = {
-    "mt-generate": run_mt_generate,
-    "mt-dynamics": run_mt_dynamics,
-    "tower-equicontinuity": run_tower_equicontinuity,
-    "solenoid-lift": run_solenoid_lift,
-    "amalgam-rigidity": run_amalgam_rigidity,
-    "amalgam-deck": run_amalgam_deck,
-    "covers-obstruction": run_covers_obstruction,
-    "hawaiian-suite": run_hawaiian_suite,
-    "spiral-orbits": run_spiral_orbits,
-    "rotation-density": run_rotation_density,
+# ---------------------------------------------------------------------------
+# the experiment table
+
+
+@dataclass(frozen=True)
+class Knob:
+    """One option of an experiment.
+
+    ``default`` is a value, or a function of the knobs resolved before this
+    one whose docstring says how it is derived; a knob whose default is None
+    stays unset, and out of the echoed config, unless given. ``low`` and
+    ``high`` bound a numeric knob beyond the floor of 1 that every numeric
+    knob has; ``why`` gives the reason for them.
+    """
+
+    type: type
+    default: object = None
+    low: int | None = None
+    high: int | None = None
+    why: str = ""
+
+
+@dataclass(frozen=True)
+class Spec:
+    """One experiment: its runner, its claim, its knobs, and whether it draws samples."""
+
+    runner: Callable[..., tuple[str, dict]]
+    claim_id: str
+    statement: str
+    knobs: dict[str, Knob]
+    seeded: bool = False
+
+    @property
+    def claim(self) -> dict[str, str]:
+        """What the run checks, stated mathematically."""
+        return {"id": self.claim_id, "statement": self.statement}
+
+
+def _horizon_from_depth(knobs: dict) -> int:
+    """2^(depth+4)"""
+    return 2 ** (knobs["depth"] + 4)
+
+
+SPECS: dict[str, Spec] = {
+    "mt-generate": Spec(
+        run_mt_generate,
+        "constructions-agree",
+        "The two-letter substitution, the doubling construction, and the "
+        "bit-count parity rule generate the same binary sequence.",
+        {"level": Knob(int, 5, high=22, why="the report holds all 2^level symbols")},
+    ),
+    "mt-dynamics": Spec(
+        run_mt_dynamics,
+        "mixed-orbit-behaviour",
+        "The doubled sequence is aperiodic, every short factor recurs "
+        "with a bounded gap, and window pairs both approach (proximal "
+        "evidence) and separate (non-equicontinuity evidence) under "
+        "shifting, at the stated depth and horizon.",
+        {
+            "level": Knob(int, 14, low=8, high=18, why="the period scan needs 256 "
+                          "symbols, and the prefix has 2^level"),
+            "depth": Knob(int, 4, high=7, why="each step multiplies the witness "
+                          "search by about 4"),
+            "horizon": Knob(int, _horizon_from_depth, high=2048, why="each window "
+                            "holds 2 * horizon symbols; 2048 is the default at the "
+                            "top depth"),
+            "words": Knob(int, 192),
+        },
+    ),
+    "tower-equicontinuity": Spec(
+        run_tower_equicontinuity,
+        "strict-towers-equicontinuous",
+        "A strict tower of finite shift systems acts equicontinuously: "
+        "agreement depth in the thread metric is preserved by every "
+        "iterate, so the modulus is the identity; defective towers are "
+        "rejected at construction.",
+        {
+            "level": Knob(int, 8, high=12, why="the modulus table scans pairs in "
+                          "fibres of up to 2^level points"),
+            "words": Knob(int, 20),
+        },
+        seeded=True,
+    ),
+    "solenoid-lift": Spec(
+        run_solenoid_lift,
+        "solenoid-monodromy",
+        "Loop lifting in the k-fold self-cover tower of the circle acts "
+        "by +1 on the k-ary residue fibre, transitively at every level.",
+        {
+            "level": Knob(int, 3, high=16, why="the report lists the 2^level-point fibre"),
+            "word": Knob(str, "a^5"),
+            "start": Knob(str, "0"),
+            "system": Knob(str),
+        },
+    ),
+    "amalgam-rigidity": Spec(
+        run_amalgam_rigidity,
+        "doubling-scales-disagree",
+        "Repeated doubling contracts binary residues one valuation step "
+        "per iteration while the glued ternary images stay at one "
+        "constant scale, so no nontrivial translation pair commutes "
+        "with the glue.",
+        {"precision": Knob(int, 64), "words": Knob(int, 50), "depth": Knob(int, 30)},
+        seeded=True,
+    ),
+    "amalgam-deck": Spec(
+        run_amalgam_deck,
+        "glued-system-rigid",
+        "Exhaustive translation-pair search over the glued double "
+        "solenoid at this truncation finds only the identity symmetry.",
+        {"precision": Knob(int, 6, high=10, why="the pair search is quadratic in "
+                           "the fibre")},
+    ),
+    "covers-obstruction": Spec(
+        run_covers_obstruction,
+        "no-common-cover-degree",
+        "A connected cover of the figure eight compatible with the "
+        "binary side needs a full cycle of 2-power length, with the "
+        "ternary side a 3-power length; both hold only in degree 1.",
+        {"max_degree": Knob(int, 12, high=12, why="the next full-cycle family, at "
+                            "degree 16, is too large to list")},
+    ),
+    "hawaiian-suite": Spec(
+        run_hawaiian_suite,
+        "squaring-tower-connected",
+        "Every level of the squaring tower over nested circles is "
+        "connected, letter-count parity classifies lifts with a "
+        "surjective boundary map, and the level-n deck group is the "
+        "full sign group of order 2^n acting freely and transitively.",
+        {
+            "circles": Knob(int, 16, high=64, why="each level graph has a loop per "
+                            "circle at every vertex"),
+            "level": Knob(int, 12, high=12, why="kernel words are checked against "
+                          "every start vector"),
+            "words": Knob(int, 1000),
+        },
+        seeded=True,
+    ),
+    "spiral-orbits": Spec(
+        run_spiral_orbits,
+        "spiral-decomposes",
+        "The compactified spiral splits into one traversing orbit and "
+        "two fixed boundary circles; the traversing orbit closes up on "
+        "both boundaries.",
+        {"horizon": Knob(int, 32, high=10_000, why="the fibre holds 2 * horizon + 3 "
+                         "points")},
+    ),
+    "rotation-density": Spec(
+        run_rotation_density,
+        "irrational-orbits-dense",
+        "The largest gap of an irrational rotation orbit shrinks as the "
+        "orbit grows, while a rational rotation's gap stalls.",
+        {"horizon": Knob(int, 1000, low=8, high=100_000, why="the gap comparison "
+                         "needs 8 points, and each orbit is sorted exactly")},
+    ),
 }
+
+# The type of each knob name; a name means the same option in every experiment.
+KNOB_TYPES: dict[str, type] = {
+    name: knob.type for spec in SPECS.values() for name, knob in spec.knobs.items()
+}
+
+
+def flag(name: str) -> str:
+    """The command line flag of a config key."""
+    return "--" + name.replace("_", "-")
+
+
+class ExperimentConfig:
+    """One run: the experiment, and its ``seed``, ``out`` and knobs as given.
+
+    The checks here hold for every experiment: known keys and name, types,
+    a floor of 1 on numeric knobs, a 64-bit seed, and a seed for experiments
+    that draw samples. A key given as None counts as not given. Each
+    experiment's defaults and bounds are applied by ``resolve``.
+    """
+
+    def __init__(self, /, experiment: str | None = None, **given) -> None:
+        types = {"seed": int, "out": str, **KNOB_TYPES}
+        unknown = set(given) - set(types)
+        if unknown:
+            raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        if experiment is None:
+            raise UsageError("an experiment name is required (--experiment)")
+        if not isinstance(experiment, str) or experiment not in SPECS:
+            raise UsageError(
+                f"unknown experiment {experiment!r}; choose from {', '.join(SPECS)}"
+            )
+        given = {key: value for key, value in given.items() if value is not None}
+        for key, value in given.items():
+            if type(value) is not types[key]:
+                what = "an integer" if types[key] is int else "a string"
+                raise UsageError(f"{flag(key)} must be {what}, not {value!r}")
+            if type(value) is int and key != "seed" and value < 1:
+                raise UsageError(f"{flag(key)} must be >= 1")
+        self.experiment = experiment
+        self.seed: int | None = given.pop("seed", None)
+        self.out: str | None = given.pop("out", None)
+        self.knobs = given
+        if self.seed is not None and not 0 <= self.seed < 2**64:
+            raise UsageError("--seed must fit in 64 bits")
+        if SPECS[experiment].seeded and self.seed is None:
+            raise UsageError(
+                f"experiment {experiment} draws random samples; --seed is mandatory"
+            )
+
+
+def resolve(config: ExperimentConfig) -> dict:
+    """The config a report echoes: each knob given or defaulted, and any seed.
+
+    Raises UsageError for a value outside its bounds, before any work starts.
+    """
+    resolved: dict = {}
+    for name, knob in SPECS[config.experiment].knobs.items():
+        value = config.knobs.get(name, knob.default)
+        if callable(value):
+            value = value(resolved)
+        if value is None:
+            continue
+        reason = f": {knob.why}" if knob.why else ""
+        if knob.low is not None and value < knob.low:
+            raise UsageError(f"{flag(name)} must be >= {knob.low}{reason}")
+        if knob.high is not None and value > knob.high:
+            raise UsageError(f"{flag(name)} is supported up to {knob.high}{reason}")
+        resolved[name] = value
+    if config.seed is not None:
+        resolved["seed"] = config.seed
+    return resolved
 
 
 def run(config: ExperimentConfig) -> Report:
     """Execute one experiment and assemble its report."""
-    runner = REGISTRY[config.experiment]
+    spec = SPECS[config.experiment]
+    resolved = resolve(config)
+    args = {name: resolved.get(name) for name in spec.knobs}
+    if spec.seeded:
+        args["seed"] = config.seed
     started = perf_counter()
-    verdict, payload, effective = runner(config)
+    verdict, payload = spec.runner(**args)
     elapsed = perf_counter() - started
-    if config.seed is not None:
-        effective.setdefault("seed", config.seed)
-    return Report(
-        experiment=config.experiment,
-        config=effective,
-        claim=CLAIMS[config.experiment],
-        verdict=verdict,
-        payload=payload,
-        wall_time_s=elapsed,
-    )
+    return Report(config.experiment, resolved, spec.claim, verdict, payload, elapsed)

@@ -549,11 +549,23 @@ def tower_to_json(tower: TowerModel) -> dict:
 
 
 def tower_from_json(data: dict) -> TowerModel:
-    if data.get("kind") != "tower-model":
+    """Inverse of ``tower_to_json``; a malformed document raises ValueError."""
+    if not isinstance(data, dict) or data.get("kind") != "tower-model":
         raise ValueError("not a tower-model document")
-    levels = [system_from_json(doc) for doc in data["levels"]]
+    missing = [key for key in ("levels", "bonds") if key not in data]
+    if missing:
+        raise ValueError(f"tower-model document lacks {', '.join(missing)}")
+    levels_doc, bonds_doc = data["levels"], data["bonds"]
+    if not isinstance(levels_doc, list) or not isinstance(bonds_doc, list):
+        raise ValueError("'levels' and 'bonds' must be lists")
+    if not levels_doc or len(bonds_doc) != len(levels_doc) - 1:
+        raise ValueError("a tower of n >= 1 levels needs n - 1 bonds")
+    levels = [system_from_json(doc) for doc in levels_doc]
     bonds = []
-    for i, row in enumerate(data["bonds"]):
+    for i, row in enumerate(bonds_doc):
         upper, lower = levels[i + 1], levels[i]
+        row = _fibre_indices(row, len(lower.fibre), f"bond {i}")
+        if len(row) != len(upper.fibre):
+            raise ValueError(f"bond {i} must have one entry per fibre point above it")
         bonds.append({p: lower.fibre[j] for p, j in zip(upper.fibre, row)})
     return TowerModel(levels, bonds)

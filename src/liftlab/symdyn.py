@@ -80,7 +80,7 @@ def mt_prefix(length: int) -> str:
 
 def popcount_parity_prefix(length: int) -> str:
     """Third route to the same sequence: parity of the binary digit sum."""
-    return "".join(str(bin(i).count("1") & 1) for i in range(length))
+    return "".join("01"[i.bit_count() & 1] for i in range(length))
 
 
 # ---------------------------------------------------------------------------

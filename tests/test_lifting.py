@@ -318,6 +318,33 @@ class TestSerialization:
         with pytest.raises(ValueError):
             system_from_json(doc)
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"levels": None},
+            {"bonds": None},
+            {"levels": "levels"},
+            {"bonds": {}},
+            {"levels": [], "bonds": []},
+            {"bonds": []},
+            {"bonds": [[0, 1, 0, 1], [0, 1, 0, 1]]},
+            {"bonds": [[0, 1, 0]]},
+            {"bonds": [[0, 1, 0, 2]]},
+            {"bonds": [[0, 1, 0, -1]]},
+            {"bonds": ["0101"]},
+            {"kind": None},
+        ],
+    )
+    def test_malformed_tower_document_rejected(self, changes):
+        doc = tower_to_json(solenoid_tower(2, 2))
+        assert doc["bonds"] == [[0, 1, 0, 1]]
+        doc.update(changes)
+        doc = {key: value for key, value in doc.items() if value is not None}
+        with pytest.raises(ValueError):
+            tower_from_json(doc)
+        with pytest.raises(ValueError):
+            tower_from_json(list(doc))
+
     def test_tower_round_trip(self):
         tower = solenoid_tower(2, 3)
         back = tower_from_json(json.loads(json.dumps(tower_to_json(tower))))

@@ -1,23 +1,38 @@
 """Config validation, claims registry coverage, CLI behaviour, determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
-from liftlab.experiments import run
+from liftlab import amalgam, lifting
+from liftlab.cli import build_parser
+from liftlab.experiments import SPECS, ExperimentConfig, UsageError, resolve, run
 from liftlab.lifting import solenoid_level, system_to_json
-from liftlab.reports import (
-    CLAIMS,
-    EXPERIMENTS,
-    RANDOMIZED_EXPERIMENTS,
-    VERDICTS,
-    ExperimentConfig,
-    Report,
-    UsageError,
-    comparison_region,
-)
+from liftlab.reports import VERDICTS, Report, comparison_region
+
+EXPERIMENTS = tuple(SPECS)
+RANDOMIZED_EXPERIMENTS = frozenset(name for name, spec in SPECS.items() if spec.seeded)
+CLAIMS = {name: spec.claim for name, spec in SPECS.items()}
+
+# Knobs that size an allocation, each with the largest value that the
+# defaults, the tests, the README and the benchmark workloads use.
+BOUNDED_KNOBS = [
+    ("mt-generate", "level", 20),
+    ("solenoid-lift", "level", 14),
+    ("mt-dynamics", "level", 16),
+    ("mt-dynamics", "depth", 5),
+    ("mt-dynamics", "horizon", 2 ** (5 + 4)),
+    ("tower-equicontinuity", "level", 10),
+    ("spiral-orbits", "horizon", 2000),
+    ("rotation-density", "horizon", 10000),
+    ("hawaiian-suite", "circles", 16),
+    ("hawaiian-suite", "level", 12),
+    ("amalgam-deck", "precision", 10),
+    ("covers-obstruction", "max_degree", 12),
+]
 
 
 def run_cli(*args):
@@ -33,6 +48,8 @@ class TestConfig:
     def test_unknown_experiment(self):
         with pytest.raises(UsageError):
             ExperimentConfig(experiment="nope")
+        with pytest.raises(UsageError):
+            ExperimentConfig(experiment=["mt-generate"])
 
     def test_bad_bounds(self):
         with pytest.raises(UsageError):
@@ -55,6 +72,81 @@ class TestConfig:
     def test_deterministic_experiments_need_no_seed(self):
         ExperimentConfig(experiment="mt-generate")
         ExperimentConfig(experiment="covers-obstruction")
+
+
+class TestSpecs:
+    def test_options_declared_once(self):
+        knobs = {name for spec in SPECS.values() for name in spec.knobs}
+        dests = {action.dest for action in build_parser()._actions} - {"help"}
+        assert dests == knobs | {"experiment", "seed", "out", "config"}
+        types = {"seed": int, "out": str}
+        for spec in SPECS.values():
+            for name, knob in spec.knobs.items():
+                assert types.setdefault(name, knob.type) is knob.type, name
+        # a config file's keys are passed to ExperimentConfig as they are
+        assert set(types) == knobs | {"seed", "out"}
+        for name, kind in types.items():
+            value = 1 if kind is int else "x"
+            config = ExperimentConfig(experiment="mt-generate", **{name: value})
+            assert {"seed": config.seed, "out": config.out, **config.knobs}[name] == value
+        for name in ("config", "bogus"):
+            with pytest.raises(UsageError, match="unknown config keys"):
+                ExperimentConfig(experiment="mt-generate", **{name: 1})
+
+    def test_empty_config_echoes_declared_knobs(self):
+        for name, spec in SPECS.items():
+            seed = 7 if spec.seeded else None
+            echoed = resolve(ExperimentConfig(experiment=name, seed=seed))
+            declared = {key for key, knob in spec.knobs.items() if knob.default is not None}
+            assert set(echoed) == declared | ({"seed"} if spec.seeded else set()), name
+        assert resolve(ExperimentConfig(experiment="mt-dynamics", depth=5))["horizon"] == 512
+        echoed = resolve(ExperimentConfig(experiment="solenoid-lift", system="s.json"))
+        assert echoed["system"] == "s.json"
+
+
+class TestResourceBounds:
+    @pytest.mark.parametrize("experiment, knob, largest_in_use", BOUNDED_KNOBS)
+    def test_bound_admits_use_and_rejects_one_over(
+        self, monkeypatch, experiment, knob, largest_in_use
+    ):
+        spec = SPECS[experiment]
+        high = spec.knobs[knob].high
+        assert high is not None and high >= largest_in_use
+        seed = 1 if spec.seeded else None
+        resolve(ExperimentConfig(experiment=experiment, seed=seed, **{knob: high}))
+
+        def refuse(**_):
+            raise AssertionError("the runner was called with an oversized knob")
+
+        monkeypatch.setitem(SPECS, experiment, dataclasses.replace(spec, runner=refuse))
+        with pytest.raises(UsageError, match="is supported up to"):
+            run(ExperimentConfig(experiment=experiment, seed=seed, **{knob: high + 1}))
+
+
+class TestHonestVerdicts:
+    def test_amalgam_deck_cross_check_gates_verdict(self, monkeypatch):
+        assert run(ExperimentConfig(experiment="amalgam-deck", precision=2)).verdict == "pass"
+        monkeypatch.setattr(amalgam, "centralizer_deck_search", lambda model: [0, 2])
+        report = run(ExperimentConfig(experiment="amalgam-deck", precision=2))
+        assert report.payload["identity_only"]
+        assert report.verdict == "fail"
+
+    @pytest.mark.parametrize("fault", ["endpoint", "crossed", "orbits"])
+    def test_solenoid_lift_verdict_from_claim(self, monkeypatch, fault):
+        config = ExperimentConfig(experiment="solenoid-lift", level=3, word="a^5 a^-2")
+        assert run(config).verdict == "pass"
+        lift, orbits = lifting.lift_word_flagged, lifting.orbit_partition
+        if fault == "endpoint":
+            monkeypatch.setattr(lifting, "lift_word_flagged",
+                                lambda *args: (lift(*args)[0] + 1, False))
+        elif fault == "crossed":
+            monkeypatch.setattr(lifting, "lift_word_flagged",
+                                lambda *args: (lift(*args)[0], True))
+        else:
+            monkeypatch.setattr(lifting, "orbit_partition",
+                                lambda sys: [part for orbit in orbits(sys)
+                                             for part in (orbit[:4], orbit[4:])])
+        assert run(config).verdict == "fail"
 
 
 class TestClaimsRegistry:
