@@ -20,7 +20,6 @@ from .profinite import (
 )
 from .symdyn import (
     CentralWord,
-    FiniteZSystem,
     StrictTower,
     SubshiftSample,
     equicontinuity_modulus,

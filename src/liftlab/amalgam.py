@@ -121,35 +121,25 @@ def translation_deck_search(model: AmalgamModel) -> list[TranslationPair]:
 
     A deck transformation of the glued system restricts to a translation on
     each side, so it is determined by a pair (s, u) with
-    glue(x + s) = glue(x) + u for every x. For each s the candidate u is read
-    off per fibre point at that point's achieved ternary precision; s
-    survives only if all fibre points agree at the common precision. The
-    identity (0, 0) always survives; rigidity predicts nothing else does.
+    glue(x + s) = glue(x) + u for every x. Each fibre point is decoded to
+    its achieved ternary precision, so all points are compared at the least
+    of them, the common precision; s survives only if every x reads off the
+    same u there. The identity (0, 0) always survives; rigidity predicts
+    nothing else does.
     """
     m2 = model.binary_precision
     size = 2**m2
-    decoded = []
-    for x in range(size):
-        res = glue_forward(model.glue, int_to_digits(x, 2, m2))
-        decoded.append((digits_to_int(res.digits, 3), res.precision))
+    decoded = [glue_forward(model.glue, int_to_digits(x, 2, m2)) for x in range(size)]
+    values = [digits_to_int(res.digits, 3) for res in decoded]
+    common = min(res.precision for res in decoded)
+    modulus = 3**common
     survivors = []
     for s in range(size):
-        common = min(
-            min(decoded[x][1], decoded[(x + s) % size][1]) for x in range(size)
-        )
-        modulus = 3**common
-        offset = None
-        consistent = True
-        for x in range(size):
-            tx, _ = decoded[x]
-            ts, _ = decoded[(x + s) % size]
-            u = (ts - tx) % modulus
-            if offset is None:
-                offset = u
-            elif offset != u:
-                consistent = False
-                break
-        if consistent:
+        offset = (values[s] - values[0]) % modulus
+        if all(
+            (values[(x + s) % size] - values[x]) % modulus == offset
+            for x in range(size)
+        ):
             survivors.append(TranslationPair(s, offset, common))
     return survivors
 

@@ -1,17 +1,25 @@
 """Command line driver: configure an experiment, run it, emit one JSON report.
 
 Exit status: 0 for pass or witness-found, 1 for fail or
-no-witness-at-horizon, 2 for usage errors. A JSON config file may supply
-any option; command line flags override it.
+no-witness-at-horizon, 2 for usage errors, each reported in one line on
+stderr. A JSON config file may supply any option; command line flags
+override it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .experiments import KNOB_TYPES, SPECS, ExperimentConfig, UsageError, flag, run
+from .experiments import (
+    KNOB_TYPES,
+    SPECS,
+    ExperimentConfig,
+    UsageError,
+    flag,
+    read_json,
+    run,
+)
 
 
 def _epilog() -> str:
@@ -33,8 +41,14 @@ def _epilog() -> str:
     return "\n".join(lines)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """A malformed command line is a usage error like any other."""
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="liftlab",
         description="Run one named experiment and print its JSON report.",
         epilog=_epilog(),
@@ -52,8 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
     merged: dict = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as handle:
-            data = json.load(handle)
+        data = read_json(args.config)
         if not isinstance(data, dict):
             raise UsageError("the config file must hold a JSON object")
         merged.update(data)
@@ -66,16 +79,15 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        config = _merge_config(args)
+        config = _merge_config(build_parser().parse_args(argv))
         report = run(config)
         text = report.to_json()
         if config.out:
             with open(config.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
     except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        print("error:", " ".join(str(err).splitlines()), file=sys.stderr)
         return 2
     sys.stdout.write(text)
     return 0 if report.verdict in ("pass", "witness-found") else 1

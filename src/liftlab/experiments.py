@@ -29,6 +29,15 @@ class UsageError(ValueError):
     """Invalid experiment name, missing seed, or mistyped or out-of-range knobs."""
 
 
+def read_json(path: str):
+    """The JSON document in a file; one nested too deeply to parse is a ValueError."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path} nests JSON too deeply to read") from None
+
+
 def _witness_json(witness: symdyn.OrbitPairWitness, display_radius: int = 8) -> dict:
     show = min(display_radius, witness.x.radius)
     return {
@@ -92,7 +101,8 @@ def run_mt_dynamics(level: int, depth: int, horizon: int, words: int):
 def run_tower_equicontinuity(level: int, words: int, seed: int):
     rng = Random(seed)
 
-    cyclic = symdyn.cyclic_mod_tower(2, level)
+    solenoid = lifting.solenoid_tower(2, level)
+    cyclic = symdyn.StrictTower(solenoid.levels, solenoid.bonds)
     cyclic_table = symdyn.equicontinuity_modulus(cyclic)
 
     random_tables = []
@@ -111,8 +121,7 @@ def run_tower_equicontinuity(level: int, words: int, seed: int):
         )
 
     rejected = []
-    lower = symdyn.FiniteZSystem([0, 1], {0: 1, 1: 0})
-    upper = symdyn.FiniteZSystem(range(4), {x: (x + 1) % 4 for x in range(4)})
+    lower, upper = lifting.solenoid_tower(2, 2).levels  # swap on 2 points, +1 on Z/4
     for label, bond in (
         ("non-surjective bond", {x: 0 for x in range(4)}),
         ("non-equivariant bond", {0: 0, 1: 1, 2: 1, 3: 0}),
@@ -143,10 +152,9 @@ def _find_fibre_point(sys: lifting.MonodromySystem, text: str):
     raise UsageError(f"start point {text!r} is not in the fibre")
 
 
-def run_solenoid_lift(level: int, word: str, start: str, system: str | None):
+def run_solenoid_lift(level: int | None, word: str, start: str, system: str | None):
     if system is not None:
-        with open(system, encoding="utf-8") as handle:
-            sys = lifting.system_from_json(json.load(handle))
+        sys = lifting.system_from_json(read_json(system))
     else:
         sys = lifting.solenoid_level(2, level)
 
@@ -448,7 +456,9 @@ class Knob:
 
     ``default`` is a value, or a function of the knobs resolved before this
     one whose docstring says how it is derived; a knob whose default is None
-    stays unset, and out of the echoed config, unless given. ``low`` and
+    stays unset, and out of the echoed config, unless given. A derived
+    default of None means the knob does not apply, and giving it is an
+    error. ``low`` and
     ``high`` bound a numeric knob beyond the floor of 1 that every numeric
     knob has; ``why`` gives the reason for them.
     """
@@ -479,6 +489,11 @@ class Spec:
 def _horizon_from_depth(knobs: dict) -> int:
     """2^(depth+4)"""
     return 2 ** (knobs["depth"] + 4)
+
+
+def _level_unless_system(knobs: dict) -> int | None:
+    """3, or none with --system"""
+    return None if "system" in knobs else 3
 
 
 SPECS: dict[str, Spec] = {
@@ -527,10 +542,11 @@ SPECS: dict[str, Spec] = {
         "Loop lifting in the k-fold self-cover tower of the circle acts "
         "by +1 on the k-ary residue fibre, transitively at every level.",
         {
-            "level": Knob(int, 3, high=16, why="the report lists the 2^level-point fibre"),
+            "system": Knob(str),
+            "level": Knob(int, _level_unless_system, high=16, why="the report lists "
+                          "the 2^level-point fibre"),
             "word": Knob(str, "a^5"),
             "start": Knob(str, "0"),
-            "system": Knob(str),
         },
     ),
     "amalgam-rigidity": Spec(
@@ -652,9 +668,14 @@ def resolve(config: ExperimentConfig) -> dict:
     """
     resolved: dict = {}
     for name, knob in SPECS[config.experiment].knobs.items():
-        value = config.knobs.get(name, knob.default)
-        if callable(value):
-            value = value(resolved)
+        default = knob.default
+        if callable(default):
+            default = default(resolved)
+            if default is None and name in config.knobs:
+                raise UsageError(
+                    f"{flag(name)} does not apply here (default {knob.default.__doc__})"
+                )
+        value = config.knobs.get(name, default)
         if value is None:
             continue
         reason = f": {knob.why}" if knob.why else ""

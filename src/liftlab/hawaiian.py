@@ -249,46 +249,7 @@ def deck_group_hn(
 
 
 # ---------------------------------------------------------------------------
-# lifting criterion and the limit-space point test
-
-
-def factorization_test(target: MonodromySystem) -> bool:
-    """Does the squaring tower factor through this monodromy model?
-
-    Criterion: every petal action squares to the identity and all petal
-    actions commute. Words in which every letter appears an even number of
-    times are generated by squares and commutators, so exactly then does
-    every such word act trivially on the target.
-    """
-    acts = target.actions
-    petals = target.base.petals
-    for petal in petals:
-        act = acts[petal]
-        for p in target.fibre:
-            if act[act[p]] != p:
-                return False
-    for g, h in itertools.combinations(petals, 2):
-        for p in target.fibre:
-            if acts[g][acts[h][p]] != acts[h][acts[g][p]]:
-                return False
-    return True
-
-
-def hinfty_membership(coordinates) -> bool:
-    """At most one coordinate may sit away from the two anchor points +-1."""
-    active = sum(1 for c in coordinates if c not in (1, -1))
-    return active <= 1
-
-
-@dataclass(frozen=True)
-class HInftyPoint:
-    """A point of the limit space: anchored everywhere but at most one circle."""
-
-    coordinates: tuple
-
-    def __post_init__(self) -> None:
-        if not hinfty_membership(self.coordinates):
-            raise ValueError("more than one coordinate is away from +-1")
+# seeded kernel words
 
 
 def random_kernel_word(rng, circles: int, max_distinct: int = 4,

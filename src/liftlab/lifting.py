@@ -21,7 +21,6 @@ from fractions import Fraction
 from math import isqrt
 from random import Random
 
-from . import symdyn
 from .profinite import TruncatedPadic, padic_distance
 
 
@@ -250,8 +249,11 @@ def tower_strictness_check(tower: TowerModel) -> StrictnessVerdict:
         if set(bond) != set(upper.fibre):
             violations.append(f"bond {i}: not defined on the whole level-{i + 2} fibre")
             continue
-        if set(bond.values()) != set(lower.fibre):
+        image = set(bond.values())
+        if image != set(lower.fibre):
             violations.append(f"bond {i}: not onto the level-{i + 1} fibre")
+            if not image <= set(lower.fibre):
+                continue
         for petal in upper.base.petals:
             for p in upper.fibre:
                 if bond[upper.actions[petal][p]] != lower.actions[petal][bond[p]]:
@@ -260,14 +262,6 @@ def tower_strictness_check(tower: TowerModel) -> StrictnessVerdict:
                     )
                     break
     return StrictnessVerdict(not violations, tuple(violations))
-
-
-def as_z_tower(tower: TowerModel, petal: str) -> symdyn.StrictTower:
-    """View one petal of a strict tower as a tower of finite shift systems."""
-    levels = [
-        symdyn.FiniteZSystem(lv.fibre, lv.actions[petal]) for lv in tower.levels
-    ]
-    return symdyn.StrictTower(levels, tower.bonds)
 
 
 # ---------------------------------------------------------------------------
@@ -336,22 +330,6 @@ def deck_search(sys: MonodromySystem, max_results: int = 20000) -> list[dict]:
     backtrack(0, set(), {})
     results.sort(key=lambda h: tuple(sys.index[h[p]] for p in sys.fibre))
     return results
-
-
-def conjugate_system(sys: MonodromySystem, relabel: dict) -> MonodromySystem:
-    """The same system with fibre points renamed through a bijection."""
-    fibre = tuple(relabel[p] for p in sys.fibre)
-    actions = {
-        petal: {relabel[p]: relabel[q] for p, q in act.items()}
-        for petal, act in sys.actions.items()
-    }
-    back = {v: k for k, v in relabel.items()}
-    metric = None
-    if sys.metric is not None:
-        original = sys.metric
-        metric = lambda p, q: original(back[p], back[q])  # noqa: E731
-    clamped = frozenset((petal, relabel[p]) for petal, p in sys.clamped)
-    return MonodromySystem(sys.base, fibre, actions, metric=metric, clamped=clamped)
 
 
 # ---------------------------------------------------------------------------

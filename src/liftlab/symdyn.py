@@ -10,10 +10,11 @@ Witness searches here are deterministic scans. They can only ever produce
 evidence at a stated depth and horizon, or bounded-horizon absence; neither
 outcome is a limit claim.
 
-Finite shift systems and strict towers of them model inverse sequences of
-finite dynamics. Strictness (onto, equivariant bonds) is enforced at
-construction; ``equicontinuity_modulus`` then certifies level by level that
-agreement depth is preserved by every iterate of the step.
+A finite shift system is a one-petal ``lifting.MonodromySystem``, and a
+``StrictTower`` of them is a ``lifting.TowerModel`` that models an inverse
+sequence of finite dynamics. Strictness (onto, equivariant bonds) is checked
+at construction; ``equicontinuity_modulus`` then certifies level by level
+that agreement depth is preserved by every iterate of the step.
 """
 
 from __future__ import annotations
@@ -25,6 +26,13 @@ from functools import lru_cache
 from math import gcd
 from random import Random
 
+from .lifting import (
+    MonodromySystem,
+    RoseBase,
+    TowerModel,
+    orbit_partition,
+    tower_strictness_check,
+)
 from .ultrametric import Distance, bounded_distance, exact_distance
 
 
@@ -343,41 +351,26 @@ def non_equicontinuity_witness(
 
 
 # ---------------------------------------------------------------------------
-# finite shift systems and strict towers
+# strict towers of finite shift systems
+#
+# A finite shift system is a one-petal monodromy system: the petal's
+# permutation of the fibre is the step.
+
+_CIRCLE = RoseBase(("a",))
 
 
-class FiniteZSystem:
-    """A finite set with a bijective step, i.e. a finite action of the integers."""
-
-    def __init__(self, points, step: dict):
-        self.points = tuple(points)
-        self.step = dict(step)
-        if set(self.step) != set(self.points) or set(self.step.values()) != set(
-            self.points
-        ):
-            raise ValueError("step must be a bijection of the point set")
-
-    def __repr__(self) -> str:
-        return f"FiniteZSystem({len(self.points)} points)"
-
-    def iterate(self, point, times: int):
-        for _ in range(times):
-            point = self.step[point]
-        return point
-
-
-def kernel_of_action(sys: FiniteZSystem) -> int:
+def kernel_of_action(step: dict) -> int:
     """Index of the action kernel: the least n >= 1 with step^n = identity."""
     order = 1
     seen = set()
-    for p in sys.points:
+    for p in step:
         if p in seen:
             continue
         length = 0
         q = p
         while True:
             seen.add(q)
-            q = sys.step[q]
+            q = step[q]
             length += 1
             if q == p:
                 break
@@ -385,73 +378,57 @@ def kernel_of_action(sys: FiniteZSystem) -> int:
     return order
 
 
-class StrictTower:
-    """Inverse sequence of finite shift systems with onto equivariant bonds.
+class StrictTower(TowerModel):
+    """A tower whose bonds are onto and equivariant for every petal.
 
-    ``bonds[i]`` maps the points of ``levels[i + 1]`` onto ``levels[i]``.
-    Violations are rejected here, at construction.
+    ``bonds[i]`` maps the fibre of ``levels[i + 1]`` onto that of
+    ``levels[i]``. Violations are rejected here, at construction, with the
+    first one that ``tower_strictness_check`` finds.
     """
 
-    def __init__(self, levels: list[FiniteZSystem], bonds: list[dict]):
-        if not levels:
-            raise ValueError("a tower needs at least one level")
-        if len(bonds) != len(levels) - 1:
-            raise ValueError(f"{len(levels)} levels require {len(levels) - 1} bonds")
-        for i, bond in enumerate(bonds):
-            upper, lower = levels[i + 1], levels[i]
-            if set(bond) != set(upper.points):
-                raise ValueError(f"bond {i} is not defined on all of level {i + 2}")
-            if set(bond.values()) != set(lower.points):
-                raise ValueError(f"bond {i} is not onto level {i + 1}")
-            for p in upper.points:
-                if bond[upper.step[p]] != lower.step[bond[p]]:
-                    raise ValueError(
-                        f"bond {i} is not equivariant at point {p!r}"
-                    )
-        self.levels = list(levels)
-        self.bonds = [dict(b) for b in bonds]
-
-    def project(self, point, from_level: int, to_level: int):
-        """Compose bonds downward; levels are 1-based."""
-        for lv in range(from_level - 1, to_level - 1, -1):
-            point = self.bonds[lv - 1][point]
-        return point
+    def __init__(self, levels: list[MonodromySystem], bonds: list[dict]):
+        super().__init__(list(levels), [dict(bond) for bond in bonds])
+        violations = tower_strictness_check(self).violations
+        if violations:
+            raise ValueError(violations[0])
 
 
-def equicontinuity_modulus(tower: StrictTower) -> list[dict]:
+def equicontinuity_modulus(tower: StrictTower, petal: str = "a") -> list[dict]:
     """Certify the identity modulus for the thread metric, level by level.
 
-    For agreement depth n the same depth n works as a modulus: any pair of
-    level-(n+1) points over a common level-n point stays over a common point
-    under every power of the step. The check is exhaustive per level and the
-    returned table records how much was checked.
+    The step is the petal's action. For agreement depth n the same depth n
+    works as a modulus: any pair of level-(n+1) points over a common level-n
+    point stays over a common point under every power of the step. The
+    check is exhaustive per level and the returned table records how much
+    was checked.
     """
     table = []
     for n in range(1, len(tower.levels) + 1):
         if n == len(tower.levels):
-            sys_top = tower.levels[n - 1]
+            top = tower.levels[n - 1]
             table.append(
                 {
                     "level": n,
                     "delta_level": n,
-                    "pairs_checked": len(sys_top.points),
-                    "powers_checked": kernel_of_action(sys_top),
+                    "pairs_checked": len(top.fibre),
+                    "powers_checked": kernel_of_action(top.actions[petal]),
                 }
             )
             continue
         upper = tower.levels[n]
+        step = upper.actions[petal]
         bond = tower.bonds[n - 1]
         fibres: dict = {}
-        for p in upper.points:
+        for p in upper.fibre:
             fibres.setdefault(bond[p], []).append(p)
-        order = kernel_of_action(upper)
+        order = kernel_of_action(step)
         pairs = 0
         for members in fibres.values():
             for a in members:
                 for b in members:
                     x, y = a, b
                     for _ in range(order):
-                        x, y = upper.step[x], upper.step[y]
+                        x, y = step[x], step[y]
                         if bond[x] != bond[y]:
                             raise AssertionError(
                                 "agreement not preserved; tower invariants violated"
@@ -468,21 +445,8 @@ def equicontinuity_modulus(tower: StrictTower) -> list[dict]:
     return table
 
 
-def cyclic_mod_tower(base: int, top_level: int) -> StrictTower:
-    """The +1 actions on Z/base^n with reduction bonds, levels 1..top_level."""
-    levels = []
-    for n in range(1, top_level + 1):
-        m = base**n
-        levels.append(FiniteZSystem(range(m), {x: (x + 1) % m for x in range(m)}))
-    bonds = []
-    for n in range(1, top_level):
-        m = base**n
-        bonds.append({x: x % m for x in range(base ** (n + 1))})
-    return StrictTower(levels, bonds)
-
-
 def random_strict_tower(seed: int, depth: int = 4, width: int = 5) -> StrictTower:
-    """A seeded random strict tower of permutation systems.
+    """A seeded random strict tower of one-petal permutation systems.
 
     Level 1 is a random permutation; each next level sits over it with fibre
     sizes constant along step orbits (so an equivariant bijective step over
@@ -493,31 +457,24 @@ def random_strict_tower(seed: int, depth: int = 4, width: int = 5) -> StrictTowe
     base_points = list(range(size))
     perm = base_points[:]
     rng.shuffle(perm)
-    levels = [FiniteZSystem(base_points, dict(zip(base_points, perm)))]
+    levels = [
+        MonodromySystem(_CIRCLE, base_points, {"a": dict(zip(base_points, perm))})
+    ]
     bonds = []
     for _ in range(depth - 1):
         lower = levels[-1]
         # fibre sizes constant on each step orbit
-        orbit_of: dict = {}
-        for p in lower.points:
-            if p in orbit_of:
-                continue
-            orbit = [p]
-            q = lower.step[p]
-            while q != p:
-                orbit.append(q)
-                q = lower.step[q]
-            size = rng.randint(1, 3)
-            for item in orbit:
-                orbit_of[item] = size
-        points = [(p, i) for p in lower.points for i in range(orbit_of[p])]
+        fibre_size: dict = {}
+        for orbit in orbit_partition(lower):
+            fibre_size.update(dict.fromkeys(orbit, rng.randint(1, 3)))
+        points = [(p, i) for p in lower.fibre for i in range(fibre_size[p])]
         step = {}
-        for p in lower.points:
-            image = lower.step[p]
-            matching = list(range(orbit_of[p]))
+        for p in lower.fibre:
+            image = lower.actions["a"][p]
+            matching = list(range(fibre_size[p]))
             rng.shuffle(matching)
             for i, j in enumerate(matching):
                 step[(p, i)] = (image, j)
         bonds.append({pt: pt[0] for pt in points})
-        levels.append(FiniteZSystem(points, step))
+        levels.append(MonodromySystem(_CIRCLE, points, {"a": step}))
     return StrictTower(levels, bonds)

@@ -84,7 +84,10 @@ def test_c05_non_equicontinuity_witnesses():
 
 def test_c06_strict_tower_equicontinuity():
     with criterion(6, "identity modulus on strict towers", 5.0):
-        table = symdyn.equicontinuity_modulus(symdyn.cyclic_mod_tower(2, 8))
+        solenoid = lifting.solenoid_tower(2, 8)
+        table = symdyn.equicontinuity_modulus(
+            symdyn.StrictTower(solenoid.levels, solenoid.bonds)
+        )
         assert [row["level"] for row in table] == list(range(1, 9))
         assert all(row["delta_level"] == row["level"] for row in table)
         rng = Random(20260808)
@@ -92,8 +95,7 @@ def test_c06_strict_tower_equicontinuity():
             tower = symdyn.random_strict_tower(rng.randrange(2**32))
             rows = symdyn.equicontinuity_modulus(tower)
             assert all(row["delta_level"] == row["level"] for row in rows)
-        lower = symdyn.FiniteZSystem([0, 1], {0: 1, 1: 0})
-        upper = symdyn.FiniteZSystem(range(4), {x: (x + 1) % 4 for x in range(4)})
+        lower, upper = lifting.solenoid_tower(2, 2).levels
         for bad_bond in ({x: 0 for x in range(4)}, {0: 0, 1: 1, 2: 1, 3: 0}):
             try:
                 symdyn.StrictTower([lower, upper], [bad_bond])

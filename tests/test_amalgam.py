@@ -95,3 +95,29 @@ class TestDeckSearch:
     def test_centralizer_bound(self):
         with pytest.raises(ValueError):
             centralizer_deck_search(amalgam_model(6))
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_matches_per_shift_common_precision(self, m):
+        # the search as first written: the common precision taken per shift s
+        # as min over x of min(p[x], p[x + s]); the module takes min(p) once
+        model = amalgam_model(m)
+        size = 2**m
+        decoded = []
+        for x in range(size):
+            res = glue_forward(model.glue, int_to_digits(x, 2, m))
+            decoded.append((digits_to_int(res.digits, 3), res.precision))
+        expected = []
+        for s in range(size):
+            common = min(
+                min(decoded[x][1], decoded[(x + s) % size][1]) for x in range(size)
+            )
+            offsets = {
+                (decoded[(x + s) % size][0] - decoded[x][0]) % 3**common
+                for x in range(size)
+            }
+            if len(offsets) == 1:
+                expected.append((s, offsets.pop(), common))
+        survivors = translation_deck_search(model)
+        assert [
+            (p.binary_offset, p.ternary_offset, p.ternary_precision) for p in survivors
+        ] == expected

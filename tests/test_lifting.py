@@ -11,9 +11,7 @@ from liftlab.lifting import (
     RoseBase,
     SearchBoundExceeded,
     TowerModel,
-    as_z_tower,
     component_cover_degree,
-    conjugate_system,
     deck_search,
     golden_ratio_64bit,
     inverse_word,
@@ -33,7 +31,6 @@ from liftlab.lifting import (
     tower_strictness_check,
     tower_to_json,
 )
-from liftlab.symdyn import equicontinuity_modulus
 
 
 def random_word(rng: Random, petals, max_len: int = 12):
@@ -125,7 +122,14 @@ class TestOrbits:
         rng = Random(5)
         sys = random_permutation_system(17, 9)
         relabel = dict(zip(sys.fibre, rng.sample(range(100, 109), 9)))
-        conj = conjugate_system(sys, relabel)
+        conj = MonodromySystem(
+            sys.base,
+            [relabel[p] for p in sys.fibre],
+            {
+                petal: {relabel[p]: relabel[q] for p, q in act.items()}
+                for petal, act in sys.actions.items()
+            },
+        )
         original = {frozenset(relabel[p] for p in orbit) for orbit in orbit_partition(sys)}
         conjugated = {frozenset(orbit) for orbit in orbit_partition(conj)}
         assert original == conjugated
@@ -246,11 +250,6 @@ class TestTowers:
             assert bond[lift_word(upper, word, start)] == lift_word(
                 lower, word, bond[start]
             )
-
-    def test_as_z_tower_modulus(self):
-        tower = as_z_tower(solenoid_tower(2, 5), "a")
-        table = equicontinuity_modulus(tower)
-        assert all(row["delta_level"] == row["level"] for row in table)
 
 
 class TestRotation:

@@ -1,15 +1,29 @@
 """Config validation, claims registry coverage, CLI behaviour, determinism."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liftlab import amalgam, lifting
+from liftlab import amalgam, cli, lifting
 from liftlab.cli import build_parser
-from liftlab.experiments import SPECS, ExperimentConfig, UsageError, resolve, run
+from liftlab.experiments import (
+    KNOB_TYPES,
+    SPECS,
+    ExperimentConfig,
+    UsageError,
+    flag,
+    resolve,
+    run,
+)
 from liftlab.lifting import solenoid_level, system_to_json
 from liftlab.reports import VERDICTS, Report, comparison_region
 
@@ -230,6 +244,18 @@ class TestCli:
     def test_unknown_experiment_usage_error(self):
         result = run_cli("--experiment", "bogus")
         assert result.returncode == 2
+        assert result.stderr.startswith("error: argument --experiment: invalid choice")
+        assert result.stderr.count("\n") == 1
+
+    def test_non_integer_level_usage_error(self):
+        result = run_cli("--experiment", "mt-generate", "--level", "abc")
+        assert result.returncode == 2
+        assert result.stderr == "error: argument --level: invalid int value: 'abc'\n"
+
+    def test_help_exits_zero(self):
+        result = run_cli("--help")
+        assert result.returncode == 0
+        assert result.stdout.startswith("usage: liftlab")
 
     def test_missing_seed_usage_error(self):
         result = run_cli("--experiment", "amalgam-rigidity")
@@ -267,6 +293,16 @@ class TestCli:
         assert result.stderr.startswith("error: ")
         assert result.stderr.count("\n") == 1
 
+    def test_deeply_nested_json_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        for argv in (["--config", str(path)],
+                     ["--experiment", "solenoid-lift", "--system", str(path)]):
+            assert cli.main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {path} nests JSON too deeply to read\n"
+
     def test_out_writes_same_document(self, tmp_path):
         out = tmp_path / "report.json"
         result = run_cli("--experiment", "mt-generate", "--out", str(out))
@@ -300,6 +336,18 @@ class TestCli:
         payload = json.loads(result.stdout)["payload"]
         assert payload["endpoint"] == "2"  # 7 + 4 mod 9
         assert payload["system"]["petals"] == ["a"]
+        # the document fixes the fibre, so no level is defaulted or echoed
+        assert "level" not in json.loads(result.stdout)["config"]
+
+    def test_system_and_level_usage_error(self, tmp_path):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(system_to_json(solenoid_level(3, 2))))
+        result = run_cli("--experiment", "solenoid-lift", "--system", str(path),
+                         "--level", "3")
+        assert result.returncode == 2
+        assert result.stderr == (
+            "error: --level does not apply here (default 3, or none with --system)\n"
+        )
 
     def test_repeat_runs_byte_identical(self):
         first = run_cli("--experiment", "mt-generate")
@@ -317,3 +365,91 @@ class TestCli:
         second = run_cli(*args)
         assert first.returncode == 0
         assert comparison_region(first.stdout) == comparison_region(second.stdout)
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over arbitrary command lines and config files
+
+
+def _asks_for_help(token: str) -> bool:
+    option = token.split("=", 1)[0]
+    return token.startswith("-h") or (len(option) > 2 and "--help".startswith(option))
+
+
+junk = st.text(max_size=8).filter(lambda token: not _asks_for_help(token))
+numbers = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from(
+        [bound + step for spec in SPECS.values() for knob in spec.knobs.values()
+         for bound in (knob.low, knob.high) if bound is not None for step in (-1, 0, 1)]
+    ),
+    st.integers(-(2**70), 2**70),
+).map(str)
+json_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats(allow_nan=False),
+    st.text(max_size=6), st.sampled_from(list(SPECS)),
+    st.lists(st.integers(), max_size=2),
+)
+config_documents = st.one_of(
+    st.dictionaries(
+        st.sampled_from(["experiment", "seed", "out", "config", "bogus", *KNOB_TYPES]),
+        json_values,
+        max_size=5,
+    ),
+    json_values,
+)
+# "CONFIG", "OUT" and "MISSING" stand for paths in a fresh directory
+argv_pieces = st.one_of(
+    st.tuples(st.just("--experiment"), st.one_of(st.sampled_from(list(SPECS)), junk)),
+    st.tuples(st.just("--seed"), st.one_of(numbers, junk)),
+    st.tuples(st.sampled_from([flag(name) for name in KNOB_TYPES]),
+              st.one_of(numbers, junk)),
+    st.tuples(st.just("--config"), st.sampled_from(["CONFIG", "MISSING"])),
+    st.tuples(st.just("--out"), st.sampled_from(["OUT", "MISSING/report.json"])),
+    st.tuples(junk),
+)
+# most inputs start by naming an experiment and a seed, so that the knobs
+# after them are checked rather than the first missing option
+argv_leads = st.one_of(
+    st.just(()),
+    st.tuples(st.just("--experiment"), st.sampled_from(list(SPECS)),
+              st.just("--seed"), st.one_of(st.just("7"), numbers)),
+)
+
+
+class TestExitContract:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lead=argv_leads,
+        pieces=st.lists(argv_pieces, max_size=5),
+        document=config_documents,
+        verdict=st.sampled_from(VERDICTS),
+    )
+    def test_every_input_exits_0_1_or_2(self, lead, pieces, document, verdict):
+        """Exit 0 or 1 with a JSON report, or exit 2 with one stderr line."""
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            for name, spec in SPECS.items():
+                mp.setitem(SPECS, name, dataclasses.replace(
+                    spec, runner=lambda **_: (verdict, {})))
+            paths = {
+                "CONFIG": os.path.join(tmp, "config.json"),
+                "OUT": os.path.join(tmp, "report.json"),
+                "MISSING": os.path.join(tmp, "missing"),
+                "MISSING/report.json": os.path.join(tmp, "missing", "report.json"),
+            }
+            with open(paths["CONFIG"], "w", encoding="utf-8") as handle:
+                json.dump(document, handle)
+            argv = [paths.get(token, token)
+                    for piece in (lead, *pieces) for token in piece]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        else:
+            assert err.getvalue() == ""
+            report = json.loads(out.getvalue())
+            assert report["verdict"] == verdict
+            assert code == (0 if verdict in ("pass", "witness-found") else 1)

@@ -8,14 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liftlab.hawaiian import hn_tower
+from liftlab.lifting import (
+    MonodromySystem,
+    RoseBase,
+    TowerModel,
+    solenoid_level,
+    solenoid_tower,
+)
 from liftlab.symdyn import (
     CentralWord,
-    FiniteZSystem,
     StrictTower,
     WindowError,
     aperiodicity_check,
     apply_substitution,
-    cyclic_mod_tower,
     equicontinuity_modulus,
     factor_counts,
     factor_language,
@@ -248,16 +254,20 @@ class TestWitnessSearches:
             proximal_search(omega0_windows(8, 4), 4, 16)
 
 
+def strict(tower: TowerModel) -> StrictTower:
+    return StrictTower(tower.levels, tower.bonds)
+
+
 class TestFiniteZSystems:
+    """Finite Z-systems are one-petal monodromy systems; the step is the petal."""
+
     def test_step_must_be_bijection(self):
         with pytest.raises(ValueError):
-            FiniteZSystem([0, 1, 2], {0: 1, 1: 1, 2: 0})
+            MonodromySystem(RoseBase(("a",)), [0, 1, 2], {"a": {0: 1, 1: 1, 2: 0}})
 
     def test_kernel_examples(self):
-        ident = FiniteZSystem([0, 1], {0: 0, 1: 1})
-        assert kernel_of_action(ident) == 1
-        cyc = FiniteZSystem(range(8), {x: (x + 1) % 8 for x in range(8)})
-        assert kernel_of_action(cyc) == 8
+        assert kernel_of_action({0: 0, 1: 1}) == 1
+        assert kernel_of_action({x: (x + 1) % 8 for x in range(8)}) == 8
 
     def test_kernel_matches_lcm_oracle(self):
         rng = Random(7)
@@ -265,7 +275,6 @@ class TestFiniteZSystems:
             n = rng.randint(2, 10)
             perm = list(range(n))
             rng.shuffle(perm)
-            sys = FiniteZSystem(range(n), dict(enumerate(perm)))
             # independent oracle: cycle decomposition by hand
             lengths = []
             seen = set()
@@ -283,31 +292,31 @@ class TestFiniteZSystems:
             expected = 1
             for size in lengths:
                 expected = expected * size // gcd(expected, size)
-            assert kernel_of_action(sys) == expected
+            assert kernel_of_action(dict(enumerate(perm))) == expected
 
 
 class TestStrictTowers:
     def test_construction_rejects_non_onto_bond(self):
-        lower = FiniteZSystem([0, 1], {0: 1, 1: 0})
-        upper = FiniteZSystem(range(4), {x: (x + 1) % 4 for x in range(4)})
+        lower, upper = solenoid_tower(2, 2).levels
         with pytest.raises(ValueError, match="onto"):
             StrictTower([lower, upper], [{x: 0 for x in range(4)}])
+        # a bond into points outside the lower fibre is not onto either
+        with pytest.raises(ValueError, match="onto"):
+            StrictTower([lower, upper], [{x: x + 2 for x in range(4)}])
 
     def test_construction_rejects_non_equivariant_bond(self):
-        lower = FiniteZSystem([0, 1], {0: 1, 1: 0})
-        upper = FiniteZSystem(range(4), {x: (x + 1) % 4 for x in range(4)})
+        lower, upper = solenoid_tower(2, 2).levels
         with pytest.raises(ValueError, match="equivariant"):
             StrictTower([lower, upper], [{0: 0, 1: 1, 2: 1, 3: 0}])
 
     def test_one_level_tower_modulus(self):
-        tower = StrictTower([FiniteZSystem([0, 1], {0: 1, 1: 0})], [])
-        table = equicontinuity_modulus(tower)
+        table = equicontinuity_modulus(StrictTower([solenoid_level(2, 1)], []))
         assert table == [
             {"level": 1, "delta_level": 1, "pairs_checked": 2, "powers_checked": 2}
         ]
 
     def test_cyclic_tower_identity_modulus(self):
-        table = equicontinuity_modulus(cyclic_mod_tower(2, 3))
+        table = equicontinuity_modulus(strict(solenoid_tower(2, 3)))
         assert [row["level"] for row in table] == [1, 2, 3]
         assert all(row["delta_level"] == row["level"] for row in table)
 
@@ -317,6 +326,12 @@ class TestStrictTowers:
             table = equicontinuity_modulus(tower)
             assert all(row["delta_level"] == row["level"] for row in table)
 
-    def test_projection_compose(self):
-        tower = cyclic_mod_tower(3, 3)
-        assert tower.project(25, 3, 1) == 25 % 3
+    def test_modulus_reads_the_given_petal(self):
+        # the squaring tower: petal a_j flips coordinate j, so a_3 acts
+        # trivially on level 2 and with order 2 on level 3; row n checks
+        # powers of the step on level n + 1 (the top row on the top level)
+        tower = strict(hn_tower(3))
+        for petal, powers in (("a1", [2, 2, 2]), ("a3", [1, 2, 2])):
+            table = equicontinuity_modulus(tower, petal)
+            assert [row["powers_checked"] for row in table] == powers
+            assert all(row["delta_level"] == row["level"] for row in table)
