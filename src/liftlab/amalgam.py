@@ -43,8 +43,8 @@ class AmalgamModel:
         return [int_to_digits(x, 2, m) for x in range(2**m)]
 
 
-def amalgam_model(binary_precision: int, glue: PrefixCodeHomeo | None = None) -> AmalgamModel:
-    return AmalgamModel(binary_precision, glue if glue is not None else default_glue())
+def amalgam_model(binary_precision: int) -> AmalgamModel:
+    return AmalgamModel(binary_precision, default_glue())
 
 
 @dataclass(frozen=True)
@@ -54,13 +54,6 @@ class BStepResult:
     digits: str
     ternary_precision: int
     binary_precision: int
-
-
-def a_step(model: AmalgamModel, digits: str, exponent: int = 1) -> str:
-    """Binary +-1 at the current length; exact."""
-    n = len(digits)
-    value = (digits_to_int(digits, 2) + exponent) % 2**n
-    return int_to_digits(value, 2, n)
 
 
 def b_step(model: AmalgamModel, digits: str, exponent: int = 1) -> BStepResult:
@@ -75,36 +68,6 @@ def b_step(model: AmalgamModel, digits: str, exponent: int = 1) -> BStepResult:
     value = (digits_to_int(decoded.digits, 3) + exponent) % 3**m3
     out = glue_backward(model.glue, int_to_digits(value, 3, m3))
     return BStepResult(out, m3, len(out))
-
-
-@dataclass(frozen=True)
-class AmalgamLift:
-    """Endpoint of a word evaluation plus the per-step precision log."""
-
-    digits: str
-    ternary_precisions: tuple[int, ...]
-    binary_precision: int
-
-
-def lift_amalgam_word(model: AmalgamModel, word, start: str) -> AmalgamLift:
-    """Evaluate a figure-eight loop word from a binary start string.
-
-    ``word`` is a loop word over petals "a" (binary +1) and "b" (glued
-    ternary +1). The returned log records the achieved ternary precision of
-    every b-step; the final binary precision is the output string length.
-    """
-    digits = start
-    ternary_log: list[int] = []
-    for label, exp in word:
-        if label == "a":
-            digits = a_step(model, digits, exp)
-        elif label == "b":
-            step = b_step(model, digits, exp)
-            digits = step.digits
-            ternary_log.append(step.ternary_precision)
-        else:
-            raise ValueError(f"unknown petal {label!r}")
-    return AmalgamLift(digits, tuple(ternary_log), len(digits))
 
 
 @dataclass(frozen=True)

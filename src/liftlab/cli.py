@@ -9,6 +9,7 @@ override it.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from .experiments import (
@@ -17,7 +18,6 @@ from .experiments import (
     ExperimentConfig,
     UsageError,
     flag,
-    read_json,
     run,
 )
 
@@ -28,7 +28,7 @@ def _epilog() -> str:
         lines.append(f"  {name}{'*' if spec.seeded else ''}")
         for key, knob in spec.knobs.items():
             default = knob.default.__doc__ if callable(knob.default) else knob.default
-            text = f"    {flag(key):14s} default {'unset' if default is None else default}"
+            text = f"    {flag(key):14s} default {default}"
             if knob.low is not None:
                 text += f", at least {knob.low}"
             if knob.high is not None:
@@ -63,10 +63,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_json(path: str):
+    """The JSON document in a file; one nested too deeply to parse is a ValueError."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path} nests JSON too deeply to read") from None
+
+
 def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
     merged: dict = {}
     if args.config:
-        data = read_json(args.config)
+        data = _read_json(args.config)
         if not isinstance(data, dict):
             raise UsageError("the config file must hold a JSON object")
         merged.update(data)

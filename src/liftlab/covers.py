@@ -69,27 +69,6 @@ def cycle_lengths(perm: tuple[int, ...]) -> list[int]:
     return sorted(out)
 
 
-def is_transitive(perm_a, perm_b) -> bool:
-    d = len(perm_a)
-    inv_a = [0] * d
-    inv_b = [0] * d
-    for x in range(d):
-        inv_a[perm_a[x]] = x
-        inv_b[perm_b[x]] = x
-    seen = [False] * d
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        x = stack.pop()
-        for y in (perm_a[x], inv_a[x], perm_b[x], inv_b[x]):
-            if not seen[y]:
-                seen[y] = True
-                count += 1
-                stack.append(y)
-    return count == d
-
-
 def is_power(value: int, base: int) -> bool:
     """Exact power test: value == base**k for some k >= 0."""
     if value < 1:
@@ -220,36 +199,33 @@ def enumerate_connected_coverings(
     return list(iter_connected_coverings(degree, max_degree))
 
 
-def full_cycle_coverings(
-    degree: int, petal: str, deduplicate: bool = True
-) -> Iterator[CoveringPermutationRep]:
+def full_cycle_coverings(degree: int, petal: str) -> Iterator[CoveringPermutationRep]:
     """All connected covers whose given petal is a single d-cycle.
 
     This is the complete family of covers satisfying the cycle condition on
     that petal: any such cover is isomorphic to one with the petal acting as
-    the canonical cycle x -> x + 1, and the other petal arbitrary. With
-    ``deduplicate`` the other petal is reduced modulo conjugation by the
-    cycle's centralizer (its own powers), one representative per class.
+    the canonical cycle x -> x + 1, and the other petal arbitrary. The other
+    petal is reduced modulo conjugation by the cycle's centralizer (its own
+    powers), one representative per class.
     Transitivity is automatic. Feasible through degree 9 and a bit beyond.
     """
     d = degree
     cycle = tuple((x + 1) % d for x in range(d))
     for other in itertools.permutations(range(d)):
-        if deduplicate:
-            canonical = True
-            for i in range(1, d):
-                # conjugate by cycle^i, entrywise, with early exit
-                for x in range(d):
-                    value = (other[(x - i) % d] + i) % d
-                    if value < other[x]:
-                        canonical = False
-                        break
-                    if value > other[x]:
-                        break
-                if not canonical:
+        canonical = True
+        for i in range(1, d):
+            # conjugate by cycle^i, entrywise, with early exit
+            for x in range(d):
+                value = (other[(x - i) % d] + i) % d
+                if value < other[x]:
+                    canonical = False
+                    break
+                if value > other[x]:
                     break
             if not canonical:
-                continue
+                break
+        if not canonical:
+            continue
         if petal == "a":
             yield CoveringPermutationRep(d, cycle, other)
         else:

@@ -13,7 +13,6 @@ region).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -29,17 +28,8 @@ class UsageError(ValueError):
     """Invalid experiment name, missing seed, or mistyped or out-of-range knobs."""
 
 
-def read_json(path: str):
-    """The JSON document in a file; one nested too deeply to parse is a ValueError."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except RecursionError:
-            raise ValueError(f"{path} nests JSON too deeply to read") from None
-
-
-def _witness_json(witness: symdyn.OrbitPairWitness, display_radius: int = 8) -> dict:
-    show = min(display_radius, witness.x.radius)
+def _witness_json(witness: symdyn.OrbitPairWitness) -> dict:
+    show = min(8, witness.x.radius)
     return {
         "radius": witness.x.radius,
         "x_center": symdyn.truncate_window(witness.x, show).symbols,
@@ -152,12 +142,8 @@ def _find_fibre_point(sys: lifting.MonodromySystem, text: str):
     raise UsageError(f"start point {text!r} is not in the fibre")
 
 
-def run_solenoid_lift(level: int | None, word: str, start: str, system: str | None):
-    if system is not None:
-        sys = lifting.system_from_json(read_json(system))
-    else:
-        sys = lifting.solenoid_level(2, level)
-
+def run_solenoid_lift(level: int, word: str, start: str):
+    sys = lifting.solenoid_level(2, level)
     letters = lifting.parse_loop_word(word)
     start_point = _find_fibre_point(sys, start)
     endpoint, crossed = lifting.lift_word_flagged(sys, letters, start_point)
@@ -176,8 +162,6 @@ def run_solenoid_lift(level: int | None, word: str, start: str, system: str | No
         ],
         "system": lifting.system_to_json(sys),
     }
-    if system is not None:
-        return "pass", payload
     # the loop acts by +1 on Z/2^level, transitively
     exponent_sum = sum(exp for _, exp in letters)
     ok = (
@@ -455,16 +439,13 @@ class Knob:
     """One option of an experiment.
 
     ``default`` is a value, or a function of the knobs resolved before this
-    one whose docstring says how it is derived; a knob whose default is None
-    stays unset, and out of the echoed config, unless given. A derived
-    default of None means the knob does not apply, and giving it is an
-    error. ``low`` and
-    ``high`` bound a numeric knob beyond the floor of 1 that every numeric
-    knob has; ``why`` gives the reason for them.
+    one whose docstring says how it is derived. ``low`` and ``high`` bound a
+    numeric knob beyond the floor of 1 that every numeric knob has; ``why``
+    gives the reason for them.
     """
 
     type: type
-    default: object = None
+    default: object
     low: int | None = None
     high: int | None = None
     why: str = ""
@@ -491,11 +472,6 @@ def _horizon_from_depth(knobs: dict) -> int:
     return 2 ** (knobs["depth"] + 4)
 
 
-def _level_unless_system(knobs: dict) -> int | None:
-    """3, or none with --system"""
-    return None if "system" in knobs else 3
-
-
 SPECS: dict[str, Spec] = {
     "mt-generate": Spec(
         run_mt_generate,
@@ -519,7 +495,8 @@ SPECS: dict[str, Spec] = {
             "horizon": Knob(int, _horizon_from_depth, high=2048, why="each window "
                             "holds 2 * horizon symbols; 2048 is the default at the "
                             "top depth"),
-            "words": Knob(int, 192),
+            "words": Knob(int, 192, high=447, why="both witness scans compare "
+                          "every pair of windows, and C(447, 2) = 99,681"),
         },
     ),
     "tower-equicontinuity": Spec(
@@ -532,7 +509,8 @@ SPECS: dict[str, Spec] = {
         {
             "level": Knob(int, 8, high=12, why="the modulus table scans pairs in "
                           "fibres of up to 2^level points"),
-            "words": Knob(int, 20),
+            "words": Knob(int, 20, high=1000, why="the report holds one random "
+                          "tower's modulus check per word"),
         },
         seeded=True,
     ),
@@ -542,8 +520,7 @@ SPECS: dict[str, Spec] = {
         "Loop lifting in the k-fold self-cover tower of the circle acts "
         "by +1 on the k-ary residue fibre, transitively at every level.",
         {
-            "system": Knob(str),
-            "level": Knob(int, _level_unless_system, high=16, why="the report lists "
+            "level": Knob(int, 3, high=16, why="the report lists "
                           "the 2^level-point fibre"),
             "word": Knob(str, "a^5"),
             "start": Knob(str, "0"),
@@ -556,7 +533,14 @@ SPECS: dict[str, Spec] = {
         "per iteration while the glued ternary images stay at one "
         "constant scale, so no nontrivial translation pair commutes "
         "with the glue.",
-        {"precision": Knob(int, 64), "words": Knob(int, 50), "depth": Knob(int, 30)},
+        {
+            "precision": Knob(int, 64, high=1024, why="each sample's row holds "
+                              "its precision binary digits"),
+            "words": Knob(int, 50, high=1000, why="the report holds one row per "
+                          "sample"),
+            "depth": Knob(int, 30, high=256, why="each row lists one valuation "
+                          "per doubling"),
+        },
         seeded=True,
     ),
     "amalgam-deck": Spec(
@@ -588,7 +572,8 @@ SPECS: dict[str, Spec] = {
                             "circle at every vertex"),
             "level": Knob(int, 12, high=12, why="kernel words are checked against "
                           "every start vector"),
-            "words": Knob(int, 1000),
+            "words": Knob(int, 1000, high=10_000, why="each sampled word is "
+                          "lifted from every start vector of its level"),
         },
         seeded=True,
     ),
@@ -671,13 +656,7 @@ def resolve(config: ExperimentConfig) -> dict:
         default = knob.default
         if callable(default):
             default = default(resolved)
-            if default is None and name in config.knobs:
-                raise UsageError(
-                    f"{flag(name)} does not apply here (default {knob.default.__doc__})"
-                )
         value = config.knobs.get(name, default)
-        if value is None:
-            continue
         reason = f": {knob.why}" if knob.why else ""
         if knob.low is not None and value < knob.low:
             raise UsageError(f"{flag(name)} must be >= {knob.low}{reason}")
@@ -693,7 +672,7 @@ def run(config: ExperimentConfig) -> Report:
     """Execute one experiment and assemble its report."""
     spec = SPECS[config.experiment]
     resolved = resolve(config)
-    args = {name: resolved.get(name) for name in spec.knobs}
+    args = {name: resolved[name] for name in spec.knobs}
     if spec.seeded:
         args["seed"] = config.seed
     started = perf_counter()

@@ -25,22 +25,8 @@ HLetterWord = tuple[HLetter, ...]
 SignVector = tuple[int, ...]
 
 
-def validate_h_word(word: HLetterWord, circles: int) -> None:
-    for index, exp in word:
-        if not 1 <= index <= circles:
-            raise ValueError(f"letter index {index} outside 1..{circles}")
-        if exp not in (1, -1):
-            raise ValueError(f"letter exponent must be +-1, got {exp}")
-
-
 def sign_string(vector: SignVector) -> str:
     return "".join("+" if s == 1 else "-" for s in vector)
-
-
-def parse_signs(text: str) -> SignVector:
-    if any(c not in "+-" for c in text):
-        raise ValueError(f"sign string must use only + and -: {text!r}")
-    return tuple(1 if c == "+" else -1 for c in text)
 
 
 def all_sign_vectors(n: int) -> list[SignVector]:
@@ -215,24 +201,16 @@ def apply_deck(delta: SignVector, eps: SignVector) -> SignVector:
     return tuple(d * e for d, e in zip(delta, eps))
 
 
-def deck_group_hn(
-    level: int, exhaustive_limit: int = 4, method: str = "auto"
-) -> list[SignVector]:
+def deck_group_hn(level: int) -> list[SignVector]:
     """The deck group at level n: all coordinatewise sign multiplications.
 
-    For small levels the group is found by exhaustive centralizer search
-    over the fibre and verified to consist of sign multiplications; beyond
-    the limit the closed form is returned directly. Order 2^n either way.
+    Up to level 4 the group is found by exhaustive centralizer search over
+    the fibre and verified to consist of sign multiplications and to equal
+    the closed form; above it the closed form is returned directly. Order
+    2^n either way.
     """
-    if method not in ("auto", "exhaustive", "closed-form"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "exhaustive" and level > exhaustive_limit:
-        raise ValueError(f"exhaustive search limited to level <= {exhaustive_limit}")
     closed_form = sorted(all_sign_vectors(level), reverse=True)
-    exhaustive = method == "exhaustive" or (
-        method == "auto" and level <= exhaustive_limit
-    )
-    if not exhaustive:
+    if level > 4:
         return closed_form
     sys = hn_level(level, level)
     found = deck_search(sys, max_results=2 ** (level + 1))
@@ -252,16 +230,18 @@ def deck_group_hn(
 # seeded kernel words
 
 
-def random_kernel_word(rng, circles: int, max_distinct: int = 4,
-                       max_pair_count: int = 2) -> HLetterWord:
-    """A seeded word in which every letter appears an even number of times."""
+def random_kernel_word(rng, circles: int) -> HLetterWord:
+    """A seeded word in which every letter appears an even number of times.
+
+    At most four distinct letters, each used two or four times.
+    """
     chosen = rng.sample(
-        range(1, circles + 1), k=rng.randint(1, min(max_distinct, circles))
+        range(1, circles + 1), k=rng.randint(1, min(4, circles))
     )
     letters = [
         (j, rng.choice((1, -1)))
         for j in chosen
-        for _ in range(2 * rng.randint(1, max_pair_count))
+        for _ in range(2 * rng.randint(1, 2))
     ]
     rng.shuffle(letters)
     return tuple(letters)

@@ -45,14 +45,22 @@ LoopLetter = tuple[str, int]
 LoopWord = tuple[LoopLetter, ...]
 
 
+# A parsed word holds one letter per unit of exponent; the sum is checked first.
+MAX_WORD_LETTERS = 100_000
+
+
 def parse_loop_word(text: str) -> LoopWord:
     """Parse words like "a^5 b^-2 a"; exponents expand into single letters."""
-    letters: list[LoopLetter] = []
+    tokens = []
     for token in text.split():
-        label, _, exp_text = token.partition("^")
-        exp = int(exp_text) if exp_text else 1
-        if not label:
+        label, caret, exp_text = token.partition("^")
+        if not label or (caret and not exp_text):
             raise ValueError(f"malformed token {token!r}")
+        tokens.append((label, int(exp_text) if caret else 1))
+    if sum(abs(exp) for _, exp in tokens) > MAX_WORD_LETTERS:
+        raise ValueError(f"word expands into more than {MAX_WORD_LETTERS} letters")
+    letters: list[LoopLetter] = []
+    for label, exp in tokens:
         sign = 1 if exp >= 0 else -1
         letters.extend((label, sign) for _ in range(abs(exp)))
     return tuple(letters)
@@ -441,36 +449,12 @@ def golden_ratio_64bit() -> Fraction:
 # JSON serialization
 
 
-def _label_to_json(label):
-    if isinstance(label, tuple):
-        return ["tuple", [_label_to_json(x) for x in label]]
-    return label
-
-
-def _label_from_json(data):
-    if isinstance(data, list) and len(data) == 2 and data[0] == "tuple" and (
-        isinstance(data[1], list)
-    ):
-        return tuple(_label_from_json(x) for x in data[1])
-    if isinstance(data, (list, dict)):
-        raise ValueError(f"unexpected label encoding: {data!r}")
-    return data
-
-
-def _fibre_indices(row, size: int, what: str) -> list[int]:
-    if not isinstance(row, list) or not all(
-        type(i) is int and 0 <= i < size for i in row
-    ):
-        raise ValueError(f"{what} must be a list of fibre indices below {size}")
-    return row
-
-
 def system_to_json(sys: MonodromySystem) -> dict:
     """Schema: petals, fibre labels, actions and clamps as fibre indices."""
     return {
         "kind": "monodromy-system",
         "petals": list(sys.base.petals),
-        "fibre": [_label_to_json(p) for p in sys.fibre],
+        "fibre": list(sys.fibre),
         "actions": {
             petal: [sys.index[sys.actions[petal][p]] for p in sys.fibre]
             for petal in sys.base.petals
@@ -479,71 +463,3 @@ def system_to_json(sys: MonodromySystem) -> dict:
             [petal, sys.index[p]] for petal, p in sys.clamped
         ),
     }
-
-
-def system_from_json(data: dict) -> MonodromySystem:
-    """Inverse of ``system_to_json``; a malformed document raises ValueError."""
-    if not isinstance(data, dict) or data.get("kind") != "monodromy-system":
-        raise ValueError("not a monodromy-system document")
-    missing = [key for key in ("petals", "fibre", "actions") if key not in data]
-    if missing:
-        raise ValueError(f"monodromy-system document lacks {', '.join(missing)}")
-    petals, fibre_doc, actions_doc = data["petals"], data["fibre"], data["actions"]
-    if not isinstance(petals, list) or not all(isinstance(p, str) for p in petals):
-        raise ValueError("'petals' must be a list of petal labels")
-    if not isinstance(fibre_doc, list):
-        raise ValueError("'fibre' must be a list of fibre labels")
-    if not isinstance(actions_doc, dict) or set(actions_doc) != set(petals):
-        raise ValueError("'actions' must map each petal to a list of fibre indices")
-    fibre = [_label_from_json(x) for x in fibre_doc]
-    actions = {}
-    for petal in petals:
-        row = _fibre_indices(actions_doc[petal], len(fibre), f"action of {petal!r}")
-        if len(row) != len(fibre):
-            raise ValueError(f"action of {petal!r} must have one entry per fibre point")
-        actions[petal] = {fibre[i]: fibre[j] for i, j in enumerate(row)}
-    clamped = data.get("clamped", [])
-    if not isinstance(clamped, list) or not all(
-        isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)
-        for pair in clamped
-    ):
-        raise ValueError("'clamped' must be a list of [petal, fibre index] pairs")
-    _fibre_indices([i for _, i in clamped], len(fibre), "clamped points")
-    return MonodromySystem(
-        RoseBase(tuple(petals)),
-        fibre,
-        actions,
-        clamped=frozenset((petal, fibre[i]) for petal, i in clamped),
-    )
-
-
-def tower_to_json(tower: TowerModel) -> dict:
-    docs = [system_to_json(lv) for lv in tower.levels]
-    bonds = []
-    for i, bond in enumerate(tower.bonds):
-        upper, lower = tower.levels[i + 1], tower.levels[i]
-        bonds.append([lower.index[bond[p]] for p in upper.fibre])
-    return {"kind": "tower-model", "levels": docs, "bonds": bonds}
-
-
-def tower_from_json(data: dict) -> TowerModel:
-    """Inverse of ``tower_to_json``; a malformed document raises ValueError."""
-    if not isinstance(data, dict) or data.get("kind") != "tower-model":
-        raise ValueError("not a tower-model document")
-    missing = [key for key in ("levels", "bonds") if key not in data]
-    if missing:
-        raise ValueError(f"tower-model document lacks {', '.join(missing)}")
-    levels_doc, bonds_doc = data["levels"], data["bonds"]
-    if not isinstance(levels_doc, list) or not isinstance(bonds_doc, list):
-        raise ValueError("'levels' and 'bonds' must be lists")
-    if not levels_doc or len(bonds_doc) != len(levels_doc) - 1:
-        raise ValueError("a tower of n >= 1 levels needs n - 1 bonds")
-    levels = [system_from_json(doc) for doc in levels_doc]
-    bonds = []
-    for i, row in enumerate(bonds_doc):
-        upper, lower = levels[i + 1], levels[i]
-        row = _fibre_indices(row, len(lower.fibre), f"bond {i}")
-        if len(row) != len(upper.fibre):
-            raise ValueError(f"bond {i} must have one entry per fibre point above it")
-        bonds.append({p: lower.fibre[j] for p, j in zip(upper.fibre, row)})
-    return TowerModel(levels, bonds)

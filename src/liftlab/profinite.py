@@ -80,27 +80,11 @@ class TruncatedPadic:
         return self.base**self.precision
 
     @classmethod
-    def from_int(cls, base: int, precision: int, value: int) -> "TruncatedPadic":
-        return cls(base, precision, value % base**precision)
-
-    @classmethod
     def from_digits(cls, digits: str, base: int) -> "TruncatedPadic":
         return cls(base, len(digits), digits_to_int(digits, base))
 
     def digits(self) -> str:
         return int_to_digits(self.residue, self.base, self.precision)
-
-    def __add__(self, other: "TruncatedPadic") -> "TruncatedPadic":
-        return padic_add(self, other)
-
-    def __sub__(self, other: "TruncatedPadic") -> "TruncatedPadic":
-        return padic_sub(self, other)
-
-    def __neg__(self) -> "TruncatedPadic":
-        return padic_neg(self)
-
-    def __rmul__(self, n: int) -> "TruncatedPadic":
-        return padic_scale(n, self)
 
 
 def _check_compatible(x: TruncatedPadic, y: TruncatedPadic) -> None:
@@ -300,9 +284,7 @@ def _valuations_march(vals: tuple[Valuation, ...], precision: int) -> bool:
     return True
 
 
-def rigidity_witness(
-    a: TruncatedPadic, iterations: int, glue: PrefixCodeHomeo | None = None
-) -> RigidityReport:
+def rigidity_witness(a: TruncatedPadic, iterations: int) -> RigidityReport:
     """Contrast the doubling orbit of ``a`` with its glued ternary shadow.
 
     Requires a nonzero ``a`` whose normalized glue image has at least one
@@ -315,9 +297,7 @@ def rigidity_witness(
         raise ValueError("a = 0 is the excluded case: its glued offset is 0")
     if iterations < 2:
         raise ValueError("need at least two iterations to compare")
-    glue = glue if glue is not None else default_glue()
-
-    fbar = normalized_glue(glue, a)
+    fbar = normalized_glue(default_glue(), a)
     if fbar.residue == 0:
         raise GluePrecisionError(
             f"normalized glue image vanishes at ternary precision {fbar.precision}; "

@@ -117,10 +117,6 @@ class CentralWord:
             raise WindowError(f"index {index} outside window of radius {self.radius}")
         return self.symbols[index + self.radius]
 
-    @property
-    def right_half(self) -> str:
-        return self.symbols[self.radius :]
-
 
 def omega0(radius: int) -> CentralWord:
     """Two-sided base point: Thue-Morse on i >= 0, its reversal on i < 0."""
@@ -167,9 +163,6 @@ class SubshiftSample:
     length: int
     factors: frozenset[str]
 
-    def sorted_factors(self) -> list[str]:
-        return sorted(self.factors)
-
 
 def _source_symbols(source: str | CentralWord) -> str:
     return source.symbols if isinstance(source, CentralWord) else source
@@ -198,20 +191,6 @@ def aperiodicity_check(word: str, max_period: int) -> int | None:
         if word[:-p] == word[p:]:
             return p
     return None
-
-
-def recurrence_gap(word: str, factor: str) -> int:
-    """Largest distance between consecutive occurrence starts of the factor."""
-    positions = []
-    start = word.find(factor)
-    while start != -1:
-        positions.append(start)
-        start = word.find(factor, start + 1)
-    if len(positions) < 2:
-        raise ValueError(
-            f"factor occurs {len(positions)} time(s); need at least two occurrences"
-        )
-    return max(b - a for a, b in zip(positions, positions[1:]))
 
 
 def max_recurrence_gap(word: str, length: int) -> tuple[int, str]:
@@ -250,11 +229,11 @@ class OrbitPairWitness:
     end_distance: Distance
 
 
-def omega0_windows(radius: int, count: int, start: int = 0) -> list[CentralWord]:
-    """Windows of omega0 centred at start, start+1, ..., start+count-1."""
-    source = omega0(radius + max(abs(start), abs(start + count - 1)) + 1)
+def omega0_windows(radius: int, count: int) -> list[CentralWord]:
+    """Windows of omega0 centred at 0, 1, ..., count-1."""
+    source = omega0(radius + count)
     out = []
-    for c in range(start, start + count):
+    for c in range(count):
         lo = c - radius + source.radius
         out.append(CentralWord(radius, source.symbols[lo : lo + 2 * radius]))
     return out
@@ -272,7 +251,6 @@ def proximal_search(
     windows: list[CentralWord],
     depth: int,
     horizon: int,
-    max_pairs: int = 100_000,
 ) -> OrbitPairWitness | None:
     """Distinct windows whose shifted copies agree to the given depth.
 
@@ -289,14 +267,10 @@ def proximal_search(
         )
     target = Fraction(1, 2**depth)
     shifts = _signed_shifts(horizon, include_zero=True)
-    scanned = 0
     for i, j in itertools.combinations(range(len(windows)), 2):
         x, y = windows[i], windows[j]
         if x == y:
             continue
-        scanned += 1
-        if scanned > max_pairs:
-            return None
         for t in shifts:
             xs, ys = shift(x, t), shift(y, t)
             d = word_metric(xs, ys)
@@ -309,7 +283,6 @@ def non_equicontinuity_witness(
     windows: list[CentralWord],
     depth: int,
     horizon: int,
-    max_pairs: int = 100_000,
 ) -> OrbitPairWitness | None:
     """Windows within 2^-depth whose orbits separate to >= 1/2 within the horizon."""
     if depth < 1 or horizon < 1:
@@ -330,16 +303,12 @@ def non_equicontinuity_witness(
             buckets[key] = []
             order.append(key)
         buckets[key].append(idx)
-    scanned = 0
     for key in order:
         members = buckets[key]
         for a, b in itertools.combinations(members, 2):
             x, y = windows[a], windows[b]
             if x == y:
                 continue
-            scanned += 1
-            if scanned > max_pairs:
-                return None
             start = word_metric(x, y)
             if not start.at_most(Fraction(1, 2**depth)):
                 continue
@@ -445,15 +414,15 @@ def equicontinuity_modulus(tower: StrictTower, petal: str = "a") -> list[dict]:
     return table
 
 
-def random_strict_tower(seed: int, depth: int = 4, width: int = 5) -> StrictTower:
-    """A seeded random strict tower of one-petal permutation systems.
+def random_strict_tower(seed: int) -> StrictTower:
+    """A seeded random strict tower of four one-petal permutation systems.
 
-    Level 1 is a random permutation; each next level sits over it with fibre
-    sizes constant along step orbits (so an equivariant bijective step over
-    the base exists) and random fibre bijections.
+    Level 1 is a random permutation of 2 to 5 points; each next level sits
+    over it with fibre sizes constant along step orbits (so an equivariant
+    bijective step over the base exists) and random fibre bijections.
     """
     rng = Random(seed)
-    size = rng.randint(2, width)
+    size = rng.randint(2, 5)
     base_points = list(range(size))
     perm = base_points[:]
     rng.shuffle(perm)
@@ -461,7 +430,7 @@ def random_strict_tower(seed: int, depth: int = 4, width: int = 5) -> StrictTowe
         MonodromySystem(_CIRCLE, base_points, {"a": dict(zip(base_points, perm))})
     ]
     bonds = []
-    for _ in range(depth - 1):
+    for _ in range(3):
         lower = levels[-1]
         # fibre sizes constant on each step orbit
         fibre_size: dict = {}

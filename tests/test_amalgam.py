@@ -3,14 +3,11 @@
 import pytest
 
 from liftlab.amalgam import (
-    a_step,
     amalgam_model,
     b_step,
     centralizer_deck_search,
-    lift_amalgam_word,
     translation_deck_search,
 )
-from liftlab.lifting import parse_loop_word
 from liftlab.profinite import digits_to_int, glue_forward, int_to_digits
 
 
@@ -21,12 +18,6 @@ class TestSteps:
         assert len(fibre) == 16
         assert len(set(fibre)) == 16
         assert all(len(digits) == 4 for digits in fibre)
-
-    def test_a_step_is_binary_increment(self):
-        model = amalgam_model(4)
-        assert a_step(model, "1110") == "0001"
-        assert a_step(model, "1111") == "0000"
-        assert a_step(model, "0000", exponent=-1) == "1111"
 
     def test_b_step_matches_manual_decode(self):
         model = amalgam_model(6)
@@ -57,19 +48,6 @@ class TestSteps:
                 assert step.ternary_precision >= 10 // 2 - j
                 assert step.binary_precision == len(step.digits)
                 digits = step.digits
-
-    def test_word_lift_logs_every_b_step(self):
-        model = amalgam_model(8)
-        word = parse_loop_word("a b a^2 b^-1 b")
-        lifted = lift_amalgam_word(model, word, "01100101")
-        assert len(lifted.ternary_precisions) == 3
-        assert lifted.binary_precision == len(lifted.digits)
-        assert all(p >= 8 // 2 - 3 for p in lifted.ternary_precisions)
-
-    def test_unknown_petal(self):
-        model = amalgam_model(4)
-        with pytest.raises(ValueError):
-            lift_amalgam_word(model, parse_loop_word("c"), "0000")
 
 
 class TestDeckSearch:

@@ -21,15 +21,14 @@ from liftlab.hawaiian import (
     kernel_check,
     lift_word_hn,
     parity_boundary,
-    parse_signs,
     petal_name,
     random_kernel_word,
     sign_string,
-    validate_h_word,
 )
 from liftlab.lifting import (
     MonodromySystem,
     RoseBase,
+    deck_search,
     lift_word,
     tower_strictness_check,
 )
@@ -55,12 +54,6 @@ class TestParityBoundary:
         left = parity_boundary(w1, level)
         right = parity_boundary(w2, level)
         assert combined == tuple((a + b) % 2 for a, b in zip(left, right))
-
-    def test_validate(self):
-        with pytest.raises(ValueError):
-            validate_h_word(((7, 1),), 6)
-        with pytest.raises(ValueError):
-            validate_h_word(((1, 2),), 6)
 
 
 class TestLifts:
@@ -149,7 +142,6 @@ class TestConnectivityAndSurjectivity:
 
     def test_sign_strings(self):
         assert sign_string((1, -1)) == "+-"
-        assert parse_signs("-+") == (-1, 1)
 
 
 class TestKernelCharacterizations:
@@ -174,10 +166,13 @@ class TestDeckGroup:
         assert len(deck_group_hn(3)) == 8
 
     def test_exhaustive_matches_closed_form(self):
+        # up to level 4 the group is searched exhaustively and checked
+        # against the closed form; the centralizer is recomputed here too
         for n in (1, 2, 3, 4):
-            assert deck_group_hn(n, method="exhaustive") == deck_group_hn(
-                n, method="closed-form"
-            )
+            closed_form = sorted(all_sign_vectors(n), reverse=True)
+            found = deck_search(hn_level(n, n))
+            assert sorted(h[(1,) * n] for h in found) == sorted(closed_form)
+            assert deck_group_hn(n) == closed_form
 
     def test_elementary_abelian(self):
         for delta in deck_group_hn(3):
@@ -190,10 +185,6 @@ class TestDeckGroup:
             for eps in fibre:
                 images = [apply_deck(delta, eps) for delta in group]
                 assert sorted(images) == sorted(fibre)
-
-    def test_exhaustive_bound(self):
-        with pytest.raises(ValueError):
-            deck_group_hn(6, method="exhaustive")
 
 
 class TestTower:

@@ -3,10 +3,12 @@
 import json
 from fractions import Fraction
 from random import Random
+from time import perf_counter
 
 import pytest
 
 from liftlab.lifting import (
+    MAX_WORD_LETTERS,
     MonodromySystem,
     RoseBase,
     SearchBoundExceeded,
@@ -25,11 +27,8 @@ from liftlab.lifting import (
     solenoid_level,
     solenoid_tower,
     spiral_system,
-    system_from_json,
     system_to_json,
-    tower_from_json,
     tower_strictness_check,
-    tower_to_json,
 )
 
 
@@ -52,6 +51,20 @@ class TestWords:
         assert parse_loop_word("a^5") == (("a", 1),) * 5
         assert parse_loop_word("a b^-2") == (("a", 1), ("b", -1), ("b", -1))
         assert parse_loop_word("") == ()
+
+    def test_expansion_bounded_before_allocation(self):
+        assert len(parse_loop_word("a^1000 a^-37")) == 1037
+        assert len(parse_loop_word(f"a^{MAX_WORD_LETTERS - 1} b^-1")) == MAX_WORD_LETTERS
+        started = perf_counter()
+        for text in ("a^1000000000000", f"a^{MAX_WORD_LETTERS} b^-1"):
+            with pytest.raises(ValueError, match="more than"):
+                parse_loop_word(text)
+        assert perf_counter() - started < 0.1
+
+    def test_empty_exponent_rejected(self):
+        for text in ("a^", "a^5 b^"):
+            with pytest.raises(ValueError, match="malformed token"):
+                parse_loop_word(text)
 
     def test_inverse(self):
         w = parse_loop_word("a b^-1 a")
@@ -277,76 +290,14 @@ class TestRotation:
 
 class TestSerialization:
     def test_system_round_trip(self):
+        # decode the index arrays here: no reader of these documents ships
         for sys in (solenoid_level(2, 3), spiral_system(4)):
-            doc = system_to_json(sys)
-            text = json.dumps(doc, sort_keys=True)
-            back = system_from_json(json.loads(text))
-            assert back.fibre == sys.fibre
-            assert back.actions == sys.actions
-            assert back.clamped == sys.clamped
-
-    def test_tuple_labels_survive(self):
-        sys = MonodromySystem(
-            RoseBase(("a",)),
-            [(1, 1), (1, -1)],
-            {"a": {(1, 1): (1, -1), (1, -1): (1, 1)}},
-        )
-        back = system_from_json(json.loads(json.dumps(system_to_json(sys))))
-        assert back.fibre == ((1, 1), (1, -1))
-
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            {"kind": "monodromy-system", "petals": ["a"]},
-            {"kind": "monodromy-system", "petals": "a", "fibre": [0], "actions": {}},
-            {"kind": "monodromy-system", "petals": ["a"], "fibre": 3, "actions": {}},
-            {"kind": "monodromy-system", "petals": ["a"], "fibre": [0, 1],
-             "actions": {"b": [1, 0]}},
-            {"kind": "monodromy-system", "petals": ["a"], "fibre": [0, 1],
-             "actions": {"a": [1, -1]}},
-            {"kind": "monodromy-system", "petals": ["a"], "fibre": [0, 1],
-             "actions": {"a": [1]}},
-            {"kind": "monodromy-system", "petals": ["a"], "fibre": [{}, 1],
-             "actions": {"a": [1, 0]}},
-            {"kind": "monodromy-system", "petals": ["a"], "fibre": [0, 1],
-             "actions": {"a": [1, 0]}, "clamped": [["a", 2]]},
-            ["monodromy-system"],
-        ],
-    )
-    def test_malformed_system_document_rejected(self, doc):
-        with pytest.raises(ValueError):
-            system_from_json(doc)
-
-    @pytest.mark.parametrize(
-        "changes",
-        [
-            {"levels": None},
-            {"bonds": None},
-            {"levels": "levels"},
-            {"bonds": {}},
-            {"levels": [], "bonds": []},
-            {"bonds": []},
-            {"bonds": [[0, 1, 0, 1], [0, 1, 0, 1]]},
-            {"bonds": [[0, 1, 0]]},
-            {"bonds": [[0, 1, 0, 2]]},
-            {"bonds": [[0, 1, 0, -1]]},
-            {"bonds": ["0101"]},
-            {"kind": None},
-        ],
-    )
-    def test_malformed_tower_document_rejected(self, changes):
-        doc = tower_to_json(solenoid_tower(2, 2))
-        assert doc["bonds"] == [[0, 1, 0, 1]]
-        doc.update(changes)
-        doc = {key: value for key, value in doc.items() if value is not None}
-        with pytest.raises(ValueError):
-            tower_from_json(doc)
-        with pytest.raises(ValueError):
-            tower_from_json(list(doc))
-
-    def test_tower_round_trip(self):
-        tower = solenoid_tower(2, 3)
-        back = tower_from_json(json.loads(json.dumps(tower_to_json(tower))))
-        assert tower_strictness_check(back).ok
-        assert [lv.fibre for lv in back.levels] == [lv.fibre for lv in tower.levels]
-        assert back.bonds == tower.bonds
+            doc = json.loads(json.dumps(system_to_json(sys), sort_keys=True))
+            fibre = doc["fibre"]
+            assert doc["kind"] == "monodromy-system"
+            assert tuple(fibre) == sys.fibre
+            assert {
+                petal: {fibre[i]: fibre[j] for i, j in enumerate(row)}
+                for petal, row in doc["actions"].items()
+            } == sys.actions
+            assert {(petal, fibre[i]) for petal, i in doc["clamped"]} == sys.clamped

@@ -288,7 +288,6 @@ class TestRigidity:
         # residue 4 at precision 3 has digits "001": its decode differs from
         # the zero decode only past the shared certified digit, so the
         # normalized image vanishes at the working ternary precision
-        glue = default_glue()
         with pytest.raises(GluePrecisionError) as err:
-            rigidity_witness(TruncatedPadic(2, 3, 4), 4, glue)
+            rigidity_witness(TruncatedPadic(2, 3, 4), 4)
         assert "binary digits" in str(err.value)

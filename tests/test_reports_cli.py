@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -39,11 +40,17 @@ BOUNDED_KNOBS = [
     ("mt-dynamics", "level", 16),
     ("mt-dynamics", "depth", 5),
     ("mt-dynamics", "horizon", 2 ** (5 + 4)),
+    ("mt-dynamics", "words", 256),  # the windows of acceptance criterion 5
     ("tower-equicontinuity", "level", 10),
+    ("tower-equicontinuity", "words", 20),
+    ("amalgam-rigidity", "precision", 256),
+    ("amalgam-rigidity", "words", 200),
+    ("amalgam-rigidity", "depth", 60),
     ("spiral-orbits", "horizon", 2000),
     ("rotation-density", "horizon", 10000),
     ("hawaiian-suite", "circles", 16),
     ("hawaiian-suite", "level", 12),
+    ("hawaiian-suite", "words", 1000),
     ("amalgam-deck", "precision", 10),
     ("covers-obstruction", "max_degree", 12),
 ]
@@ -111,14 +118,25 @@ class TestSpecs:
         for name, spec in SPECS.items():
             seed = 7 if spec.seeded else None
             echoed = resolve(ExperimentConfig(experiment=name, seed=seed))
-            declared = {key for key, knob in spec.knobs.items() if knob.default is not None}
-            assert set(echoed) == declared | ({"seed"} if spec.seeded else set()), name
+            seeded = {"seed"} if spec.seeded else set()
+            assert set(echoed) == set(spec.knobs) | seeded, name
         assert resolve(ExperimentConfig(experiment="mt-dynamics", depth=5))["horizon"] == 512
-        echoed = resolve(ExperimentConfig(experiment="solenoid-lift", system="s.json"))
-        assert echoed["system"] == "s.json"
 
 
 class TestResourceBounds:
+    def test_every_integer_knob_is_bounded(self):
+        integer_knobs = {
+            (experiment, name): knob
+            for experiment, spec in SPECS.items()
+            for name, knob in spec.knobs.items()
+            if knob.type is int
+        }
+        unbounded = [key for key, knob in integer_knobs.items() if knob.high is None]
+        assert not unbounded
+        assert {(experiment, knob) for experiment, knob, _ in BOUNDED_KNOBS} == set(
+            integer_knobs
+        )
+
     @pytest.mark.parametrize("experiment, knob, largest_in_use", BOUNDED_KNOBS)
     def test_bound_admits_use_and_rejects_one_over(
         self, monkeypatch, experiment, knob, largest_in_use
@@ -266,6 +284,21 @@ class TestCli:
         result = run_cli("--experiment", "mt-generate", "--level", "0")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize(
+        "word, message",
+        [
+            ("a^1000000000000", "word expands into more than 100000 letters"),
+            ("a^", "malformed token 'a^'"),
+        ],
+    )
+    def test_unparsable_word_usage_error(self, capsys, word, message):
+        started = time.perf_counter()
+        assert cli.main(["--experiment", "solenoid-lift", "--word", word]) == 2
+        assert time.perf_counter() - started < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_unknown_petal_usage_error(self):
         result = run_cli("--experiment", "solenoid-lift", "--word", "c")
         assert result.returncode == 2
@@ -286,22 +319,20 @@ class TestCli:
         assert result.stderr == "error: --level must be an integer, not '3'\n"
 
     def test_malformed_system_usage_error(self, tmp_path):
+        # no reader of monodromy-system documents ships, so --system is unknown
         path = tmp_path / "system.json"
-        path.write_text(json.dumps({"kind": "monodromy-system", "petals": ["a"]}))
+        path.write_text(json.dumps(system_to_json(solenoid_level(3, 2))))
         result = run_cli("--experiment", "solenoid-lift", "--system", str(path))
         assert result.returncode == 2
-        assert result.stderr.startswith("error: ")
-        assert result.stderr.count("\n") == 1
+        assert result.stderr == f"error: unrecognized arguments: --system {path}\n"
 
     def test_deeply_nested_json_usage_error(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)
-        for argv in (["--config", str(path)],
-                     ["--experiment", "solenoid-lift", "--system", str(path)]):
-            assert cli.main(argv) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == f"error: {path} nests JSON too deeply to read\n"
+        assert cli.main(["--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path} nests JSON too deeply to read\n"
 
     def test_out_writes_same_document(self, tmp_path):
         out = tmp_path / "report.json"
@@ -321,33 +352,6 @@ class TestCli:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"experiment": "mt-generate", "bogus": 1}))
         assert run_cli("--config", str(config)).returncode == 2
-
-    def test_consumes_serialized_system(self, tmp_path):
-        doc = system_to_json(solenoid_level(3, 2))
-        path = tmp_path / "system.json"
-        path.write_text(json.dumps(doc))
-        result = run_cli(
-            "--experiment", "solenoid-lift",
-            "--system", str(path),
-            "--word", "a^4",
-            "--start", "7",
-        )
-        assert result.returncode == 0
-        payload = json.loads(result.stdout)["payload"]
-        assert payload["endpoint"] == "2"  # 7 + 4 mod 9
-        assert payload["system"]["petals"] == ["a"]
-        # the document fixes the fibre, so no level is defaulted or echoed
-        assert "level" not in json.loads(result.stdout)["config"]
-
-    def test_system_and_level_usage_error(self, tmp_path):
-        path = tmp_path / "system.json"
-        path.write_text(json.dumps(system_to_json(solenoid_level(3, 2))))
-        result = run_cli("--experiment", "solenoid-lift", "--system", str(path),
-                         "--level", "3")
-        assert result.returncode == 2
-        assert result.stderr == (
-            "error: --level does not apply here (default 3, or none with --system)\n"
-        )
 
     def test_repeat_runs_byte_identical(self):
         first = run_cli("--experiment", "mt-generate")

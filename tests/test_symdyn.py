@@ -35,7 +35,6 @@ from liftlab.symdyn import (
     omega0_windows,
     proximal_search,
     random_strict_tower,
-    recurrence_gap,
     shift,
     truncate_window,
     word_metric,
@@ -82,7 +81,7 @@ class TestWindows:
 
     def test_omega0_right_half_and_mirror(self):
         w = omega0(4)
-        assert w.right_half == "0110"
+        assert w.symbols[w.radius :] == "0110"
         t = mt_prefix(4)
         assert w.symbols == t[::-1] + t
 
@@ -93,7 +92,8 @@ class TestWindows:
     def test_shift_identity_and_example(self):
         w = omega0(8)
         assert shift(w, 0) == w
-        assert shift(w, 1).right_half.startswith("1101")
+        shifted = shift(w, 1)
+        assert shifted.symbols[shifted.radius :].startswith("1101")
 
     def test_shift_action_law_same_sign(self):
         w = omega0(32)
@@ -200,12 +200,13 @@ class TestAperiodicityRecurrence:
             aperiodicity_check("0101", 3)
 
     def test_zero_recurs_quickly(self):
-        assert recurrence_gap(mt_prefix(64), "0") <= 3
+        gap, _factor = max_recurrence_gap(mt_prefix(64), 1)
+        assert gap <= 3
 
     def test_whole_word_occurs_once(self):
         w = mt_prefix(64)
         with pytest.raises(ValueError):
-            recurrence_gap(w, w)
+            max_recurrence_gap(w, len(w))
 
     def test_uniform_bound_pinned_from_oracle_run(self):
         # regression values fixed by the first enumeration run
