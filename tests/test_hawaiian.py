@@ -186,6 +186,16 @@ class TestDeckGroup:
                 images = [apply_deck(delta, eps) for delta in group]
                 assert sorted(images) == sorted(fibre)
 
+    def test_exhaustive_bound(self, monkeypatch):
+        # above level 4 no exhaustive search runs; the closed form is returned
+        def no_search(*args, **kwargs):
+            raise AssertionError("exhaustive search above level 4")
+
+        monkeypatch.setattr("liftlab.hawaiian.deck_search", no_search)
+        assert deck_group_hn(6) == sorted(all_sign_vectors(6), reverse=True)
+        with pytest.raises(AssertionError):
+            deck_group_hn(4)
+
 
 class TestTower:
     def test_fibre_sizes(self):

@@ -326,6 +326,15 @@ class TestCli:
         assert result.returncode == 2
         assert result.stderr == f"error: unrecognized arguments: --system {path}\n"
 
+    def test_system_and_level_usage_error(self, tmp_path):
+        # a valid --level does not make the removed --system flag acceptable
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(system_to_json(solenoid_level(3, 2))))
+        result = run_cli("--experiment", "solenoid-lift", "--system", str(path),
+                         "--level", "3")
+        assert result.returncode == 2
+        assert result.stderr == f"error: unrecognized arguments: --system {path}\n"
+
     def test_deeply_nested_json_usage_error(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)
