@@ -26,13 +26,16 @@ from .profinite import (
     int_to_digits,
 )
 
+GLUE: PrefixCodeHomeo = default_glue()  # the code every truncation is glued with
+
+CENTRALIZER_MAX_PRECISION = 4  # the cross-check takes up to 2 * 4^m b-steps
+
 
 @dataclass(frozen=True)
 class AmalgamModel:
     """Truncation of the glued double solenoid at a fixed binary precision."""
 
     binary_precision: int
-    glue: PrefixCodeHomeo
 
     def __post_init__(self) -> None:
         if self.binary_precision < 2:
@@ -41,10 +44,6 @@ class AmalgamModel:
     def fibre(self) -> list[str]:
         m = self.binary_precision
         return [int_to_digits(x, 2, m) for x in range(2**m)]
-
-
-def amalgam_model(binary_precision: int) -> AmalgamModel:
-    return AmalgamModel(binary_precision, default_glue())
 
 
 @dataclass(frozen=True)
@@ -56,17 +55,17 @@ class BStepResult:
     binary_precision: int
 
 
-def b_step(model: AmalgamModel, digits: str, exponent: int = 1) -> BStepResult:
-    """Glued ternary +-1: decode, add, re-encode, with tracked precision."""
-    decoded = glue_forward(model.glue, digits)
+def b_step(model: AmalgamModel, digits: str) -> BStepResult:
+    """Glued ternary +1: decode, add, re-encode, with tracked precision."""
+    decoded = glue_forward(GLUE, digits)
     m3 = decoded.precision
     if m3 == 0:
         raise ValueError(
             f"{len(digits)} binary digits determine no ternary digit; "
             "increase the binary precision"
         )
-    value = (digits_to_int(decoded.digits, 3) + exponent) % 3**m3
-    out = glue_backward(model.glue, int_to_digits(value, 3, m3))
+    value = (digits_to_int(decoded.digits, 3) + 1) % 3**m3
+    out = glue_backward(GLUE, int_to_digits(value, 3, m3))
     return BStepResult(out, m3, len(out))
 
 
@@ -92,7 +91,7 @@ def translation_deck_search(model: AmalgamModel) -> list[TranslationPair]:
     """
     m2 = model.binary_precision
     size = 2**m2
-    decoded = [glue_forward(model.glue, int_to_digits(x, 2, m2)) for x in range(size)]
+    decoded = [glue_forward(GLUE, int_to_digits(x, 2, m2)) for x in range(size)]
     values = [digits_to_int(res.digits, 3) for res in decoded]
     common = min(res.precision for res in decoded)
     modulus = 3**common
@@ -107,7 +106,7 @@ def translation_deck_search(model: AmalgamModel) -> list[TranslationPair]:
     return survivors
 
 
-def centralizer_deck_search(model: AmalgamModel, max_precision: int = 4) -> list[int]:
+def centralizer_deck_search(model: AmalgamModel) -> list[int]:
     """Binary translations commuting with the b-step at tracked precision.
 
     The exact centralizer of the binary +1 petal is the full translation
@@ -117,9 +116,10 @@ def centralizer_deck_search(model: AmalgamModel, max_precision: int = 4) -> list
     as an independent cross-check of the translation-pair search.
     """
     m2 = model.binary_precision
-    if m2 > max_precision:
+    if m2 > CENTRALIZER_MAX_PRECISION:
         raise ValueError(
-            f"full centralizer cross-check is limited to precision <= {max_precision}"
+            "full centralizer cross-check is limited to precision <= "
+            f"{CENTRALIZER_MAX_PRECISION}"
         )
     size = 2**m2
     survivors = []

@@ -203,7 +203,7 @@ def run_amalgam_rigidity(precision: int, words: int, depth: int, seed: int):
 
 
 def run_amalgam_deck(precision: int):
-    model = amalgam.amalgam_model(precision)
+    model = amalgam.AmalgamModel(precision)
     survivors = amalgam.translation_deck_search(model)
     identity_only = len(survivors) == 1 and survivors[0].binary_offset == 0 and (
         survivors[0].ternary_offset == 0
@@ -221,7 +221,7 @@ def run_amalgam_deck(precision: int):
         "identity_only": identity_only,
     }
     ok = identity_only
-    if precision <= 4:
+    if precision <= amalgam.CENTRALIZER_MAX_PRECISION:
         cross_check = amalgam.centralizer_deck_search(model)
         payload["centralizer_cross_check"] = cross_check
         ok = ok and cross_check == sorted(pair.binary_offset for pair in survivors)
@@ -286,16 +286,14 @@ def run_hawaiian_suite(circles: int, level: int, words: int, seed: int):
     per_level = []
     ok = True
     for n in range(1, level + 1):
-        graph = hawaiian.hn_graph(n, circles)
+        graph = hawaiian.HnGraph(n, circles)
         connected = hawaiian.is_connected(graph)
         fibre_size = len(graph.vertices())
         if n <= 8:
             targets = hawaiian.all_sign_vectors(n)
         else:
-            targets = [
-                tuple(rng.choice((1, -1)) for _ in range(n)) for _ in range(64)
-            ]
-        source = (1,) * n
+            targets = [hawaiian.random_sign_vector(rng, n) for _ in range(64)]
+        source = hawaiian.ALL_PLUS
         surjective = all(
             hawaiian.lift_word_hn(
                 n, hawaiian.connect_fibre_points(n, source, t), source
@@ -308,8 +306,8 @@ def run_hawaiian_suite(circles: int, level: int, words: int, seed: int):
         if n <= 8:
             sys_n = hawaiian.hn_level(n, n)
             deck_ok = deck_ok and all(
-                hawaiian.apply_deck(delta, hawaiian.flip(eps, j))
-                == hawaiian.flip(hawaiian.apply_deck(delta, eps), j)
+                hawaiian.apply_deck(delta, hawaiian.flip(n, eps, j))
+                == hawaiian.flip(n, hawaiian.apply_deck(delta, eps), j)
                 for delta in deck
                 for eps in sys_n.fibre
                 for j in range(1, n + 1)
@@ -350,7 +348,7 @@ def run_hawaiian_suite(circles: int, level: int, words: int, seed: int):
         commute_ok = commute_ok and left == right
 
     disconnect_demo = not hawaiian.is_connected(
-        hawaiian.hn_graph(min(3, level), circles), omit_circle=1
+        hawaiian.HnGraph(min(3, level), circles), omit_circle=1
     )
 
     ok = (
@@ -368,7 +366,7 @@ def run_hawaiian_suite(circles: int, level: int, words: int, seed: int):
         "lift_bond_commutes": commute_ok,
         "dropping_a_circle_disconnects": disconnect_demo,
         "graph_level_2": hawaiian.hn_graph_to_json(
-            hawaiian.hn_graph(min(2, level), circles)
+            hawaiian.HnGraph(min(2, level), circles)
         ),
     }
     return ("pass" if ok else "fail"), payload

@@ -10,11 +10,15 @@ the per-letter parity, which is the boundary map into (Z/2)^n computed by
 Graphs, connectivity, the deck group (coordinatewise sign multiplications)
 and the kernel characterizations are all exact finite checks at level n;
 every report carries the truncation N.
+
+A sign vector of level n is an int in ``range(2**n)`` with coordinate j at
+bit n - j and + stored as 0: flips, deck translations and lifts are XORs,
+and ``range(2**n)`` runs ++..+, ++..-, ... in the order of the graph JSON,
+the only place sign strings appear. No other module reads the bits.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .lifting import LoopWord, MonodromySystem, RoseBase, TowerModel, deck_search
@@ -22,32 +26,42 @@ from .lifting import LoopWord, MonodromySystem, RoseBase, TowerModel, deck_searc
 HLetter = tuple[int, int]
 HLetterWord = tuple[HLetter, ...]
 
-SignVector = tuple[int, ...]
+SignVector = int
+ALL_PLUS: SignVector = 0  # + at every coordinate: the base point of every level
 
 
-def sign_string(vector: SignVector) -> str:
-    return "".join("+" if s == 1 else "-" for s in vector)
+def _bit(level: int, circle: int) -> int:
+    return 1 << (level - circle)
 
 
-def all_sign_vectors(n: int) -> list[SignVector]:
-    return list(itertools.product((1, -1), repeat=n))
+def sign_string(level: int, vector: SignVector) -> str:
+    return format(vector, f"0{level}b").replace("0", "+").replace("1", "-")
 
 
-def parity_boundary(word: HLetterWord, level: int) -> tuple[int, ...]:
+def all_sign_vectors(n: int) -> range:
+    return range(2**n)
+
+
+def random_sign_vector(rng, level: int) -> SignVector:
+    """One seeded sign per coordinate, coordinate 1 first."""
+    signs = [rng.choice((1, -1)) for _ in range(level)]
+    return sum(_bit(level, j) for j, s in enumerate(signs, 1) if s == -1)
+
+
+def parity_boundary(word: HLetterWord, level: int) -> SignVector:
     """Per-circle signed letter count mod 2, for circles 1..level."""
-    bits = [0] * level
-    for index, exp in word:
+    parity = 0
+    for index, _exp in word:
         if index <= level:
-            bits[index - 1] = (bits[index - 1] + exp) % 2
-    return tuple(bits)
+            parity ^= _bit(level, index)
+    return parity
 
 
 def lift_word_hn(level: int, word: HLetterWord, start: SignVector) -> SignVector:
     """Endpoint of the lift: coordinate j flips once per odd letter count."""
-    if len(start) != level or any(s not in (1, -1) for s in start):
-        raise ValueError(f"start must be a sign vector of length {level}")
-    parity = parity_boundary(word, level)
-    return tuple(s * (-1) ** b for s, b in zip(start, parity))
+    if not 0 <= start < 2**level:
+        raise ValueError(f"start must be a sign vector in range(2**{level})")
+    return start ^ parity_boundary(word, level)
 
 
 def connect_fibre_points(
@@ -57,16 +71,16 @@ def connect_fibre_points(
 
     Constructive proof that the boundary map onto (Z/2)^level is surjective.
     """
-    if len(source) != level or len(target) != level:
-        raise ValueError("sign vectors must have length equal to the level")
+    if not (0 <= source < 2**level and 0 <= target < 2**level):
+        raise ValueError(f"sign vectors must lie in range(2**{level})")
     return tuple(
-        (j + 1, 1) for j in range(level) if source[j] != target[j]
+        (j, 1) for j in range(1, level + 1) if (source ^ target) & _bit(level, j)
     )
 
 
 def kernel_check(word: HLetterWord, level: int) -> bool:
     """Zero boundary iff the lift fixes every start; both computed, compared."""
-    parity_trivial = parity_boundary(word, level) == (0,) * level
+    parity_trivial = parity_boundary(word, level) == 0
     lift_trivial = all(
         lift_word_hn(level, word, start) == start
         for start in all_sign_vectors(level)
@@ -97,15 +111,15 @@ class HnGraph:
                 f"N={self.circles}"
             )
 
-    def vertices(self) -> list[SignVector]:
+    def vertices(self) -> range:
         return all_sign_vectors(self.level)
 
     def edges(self) -> list[tuple[SignVector, SignVector, int, str]]:
         out = []
         for eps in self.vertices():
             for j in range(1, self.level + 1):
-                if eps[j - 1] == 1:  # one endpoint per unordered pair
-                    other = flip(eps, j)
+                if not eps & _bit(self.level, j):  # one endpoint per unordered pair
+                    other = flip(self.level, eps, j)
                     out.append((eps, other, j, "semicircle-up"))
                     out.append((eps, other, j, "semicircle-down"))
             for j in range(self.level + 1, self.circles + 1):
@@ -113,32 +127,24 @@ class HnGraph:
         return out
 
 
-def flip(vector: SignVector, circle: int) -> SignVector:
-    return tuple(
-        -s if j == circle - 1 else s for j, s in enumerate(vector)
-    )
-
-
-def hn_graph(level: int, circles: int) -> HnGraph:
-    return HnGraph(level, circles)
+def flip(level: int, vector: SignVector, circle: int) -> SignVector:
+    return vector ^ _bit(level, circle)
 
 
 def is_connected(graph: HnGraph, omit_circle: int | None = None) -> bool:
     """Breadth-first connectivity; optionally drop all edges of one circle."""
-    verts = graph.vertices()
-    start = verts[0]
-    seen = {start}
-    queue = [start]
+    seen = {ALL_PLUS}
+    queue = [ALL_PLUS]
     while queue:
         eps = queue.pop()
         for j in range(1, graph.level + 1):
             if j == omit_circle:
                 continue
-            other = flip(eps, j)
+            other = flip(graph.level, eps, j)
             if other not in seen:
                 seen.add(other)
                 queue.append(other)
-    return len(seen) == len(verts)
+    return len(seen) == 2**graph.level
 
 
 def hn_graph_to_json(graph: HnGraph) -> dict:
@@ -146,9 +152,9 @@ def hn_graph_to_json(graph: HnGraph) -> dict:
         "kind": "hn-graph",
         "level": graph.level,
         "circles": graph.circles,
-        "vertices": [sign_string(v) for v in graph.vertices()],
+        "vertices": [sign_string(graph.level, v) for v in graph.vertices()],
         "edges": [
-            [sign_string(u), sign_string(v), j, kind]
+            [sign_string(graph.level, u), sign_string(graph.level, v), j, kind]
             for u, v, j, kind in graph.edges()
         ],
     }
@@ -174,7 +180,7 @@ def hn_level(level: int, circles: int) -> MonodromySystem:
     actions = {}
     for j in range(1, circles + 1):
         if j <= level:
-            actions[petal_name(j)] = {eps: flip(eps, j) for eps in fibre}
+            actions[petal_name(j)] = {eps: flip(level, eps, j) for eps in fibre}
         else:
             actions[petal_name(j)] = {eps: eps for eps in fibre}
     base = RoseBase(tuple(petal_name(j) for j in range(1, circles + 1)))
@@ -186,10 +192,7 @@ def hn_tower(circles: int) -> TowerModel:
     if circles < 1:
         raise ValueError("need at least one circle")
     levels = [hn_level(n, circles) for n in range(1, circles + 1)]
-    bonds = []
-    for n in range(1, circles):
-        upper = levels[n]
-        bonds.append({eps: eps[:-1] for eps in upper.fibre})
+    bonds = [{eps: eps >> 1 for eps in upper.fibre} for upper in levels[1:]]
     return TowerModel(levels, bonds)
 
 
@@ -198,7 +201,7 @@ def hn_tower(circles: int) -> TowerModel:
 
 
 def apply_deck(delta: SignVector, eps: SignVector) -> SignVector:
-    return tuple(d * e for d, e in zip(delta, eps))
+    return delta ^ eps
 
 
 def deck_group_hn(level: int) -> list[SignVector]:
@@ -209,19 +212,15 @@ def deck_group_hn(level: int) -> list[SignVector]:
     the closed form; above it the closed form is returned directly. Order
     2^n either way.
     """
-    closed_form = sorted(all_sign_vectors(level), reverse=True)
+    closed_form = list(all_sign_vectors(level))
     if level > 4:
         return closed_form
     sys = hn_level(level, level)
     found = deck_search(sys, max_results=2 ** (level + 1))
-    deltas = []
     for h in found:
-        base_point = (1,) * level
-        delta = h[base_point]
-        if any(h[eps] != apply_deck(delta, eps) for eps in sys.fibre):
+        if any(h[eps] != apply_deck(h[ALL_PLUS], eps) for eps in sys.fibre):
             raise AssertionError("centralizer element is not a sign multiplication")
-        deltas.append(delta)
-    if sorted(deltas, reverse=True) != closed_form:
+    if sorted(h[ALL_PLUS] for h in found) != closed_form:
         raise AssertionError("exhaustive deck group differs from the closed form")
     return closed_form
 

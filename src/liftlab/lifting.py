@@ -412,11 +412,10 @@ def spiral_system(truncation: int) -> MonodromySystem:
     )
 
 
-def random_permutation_system(
-    seed: int, fibre_size: int, petals: tuple[str, ...] = ("a", "b")
-) -> MonodromySystem:
+def random_permutation_system(seed: int, fibre_size: int) -> MonodromySystem:
     rng = Random(seed)
     points = list(range(fibre_size))
+    petals = ("a", "b")
     actions = {}
     for petal in petals:
         perm = points[:]

@@ -157,7 +157,7 @@ class PrefixCodeHomeo:
     prefix-freeness make decoding a genuine homeomorphism of digit streams.
     """
 
-    source_base: int = 3
+    source_base = 3  # unannotated, so a class constant rather than a field
     code: tuple[str, ...] = ("00", "01", "1")
 
     def __post_init__(self) -> None:

@@ -56,7 +56,7 @@ def apply_substitution(rules: dict[str, str], seed: str, n: int) -> str:
     """Apply a letter substitution n times to the seed word."""
     word = seed
     for _ in range(n):
-        word = "".join(rules[c] for c in word)
+        word = word.translate(str.maketrans(rules))
     return word
 
 
@@ -88,7 +88,8 @@ def mt_prefix(length: int) -> str:
 
 def popcount_parity_prefix(length: int) -> str:
     """Third route to the same sequence: parity of the binary digit sum."""
-    return "".join("01"[i.bit_count() & 1] for i in range(length))
+    # ASCII "0" is 48: one byte per symbol, no object per symbol
+    return bytes(48 + (i.bit_count() & 1) for i in range(length)).decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +363,10 @@ class StrictTower(TowerModel):
             raise ValueError(violations[0])
 
 
-def equicontinuity_modulus(tower: StrictTower, petal: str = "a") -> list[dict]:
+def equicontinuity_modulus(tower: StrictTower) -> list[dict]:
     """Certify the identity modulus for the thread metric, level by level.
 
-    The step is the petal's action. For agreement depth n the same depth n
+    The step is the action of petal ``a``. For agreement depth n the same depth n
     works as a modulus: any pair of level-(n+1) points over a common level-n
     point stays over a common point under every power of the step. The
     check is exhaustive per level and the returned table records how much
@@ -380,12 +381,12 @@ def equicontinuity_modulus(tower: StrictTower, petal: str = "a") -> list[dict]:
                     "level": n,
                     "delta_level": n,
                     "pairs_checked": len(top.fibre),
-                    "powers_checked": kernel_of_action(top.actions[petal]),
+                    "powers_checked": kernel_of_action(top.actions["a"]),
                 }
             )
             continue
         upper = tower.levels[n]
-        step = upper.actions[petal]
+        step = upper.actions["a"]
         bond = tower.bonds[n - 1]
         fibres: dict = {}
         for p in upper.fibre:

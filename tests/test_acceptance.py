@@ -156,7 +156,7 @@ def test_c09_rigidity_witness():
             assert all(d.exact for d in report.w_distances)
             assert bounds == {report.expected_distance}
             assert report.diverges
-        pairs = amalgam.translation_deck_search(amalgam.amalgam_model(6))
+        pairs = amalgam.translation_deck_search(amalgam.AmalgamModel(6))
         assert [(p.binary_offset, p.ternary_offset) for p in pairs] == [(0, 0)]
 
 
@@ -215,17 +215,15 @@ def test_c11_hawaiian_suite():
     with criterion(11, "squaring tower levels 1..12", 60.0):
         rng = Random(161803)
         for n in range(1, 13):
-            graph = hawaiian.hn_graph(n, 12)
+            graph = hawaiian.HnGraph(n, 12)
             assert hawaiian.is_connected(graph)
             assert len(graph.vertices()) == 2**n
             targets = (
                 hawaiian.all_sign_vectors(n)
                 if n <= 8
-                else [
-                    tuple(rng.choice((1, -1)) for _ in range(n)) for _ in range(200)
-                ]
+                else [hawaiian.random_sign_vector(rng, n) for _ in range(200)]
             )
-            source = (1,) * n
+            source = hawaiian.ALL_PLUS
             for target in targets:
                 word = hawaiian.connect_fibre_points(n, source, target)
                 assert hawaiian.lift_word_hn(n, word, source) == target
@@ -237,14 +235,12 @@ def test_c11_hawaiian_suite():
                     images = {hawaiian.apply_deck(delta, eps) for delta in deck}
                     assert len(images) == 2**n  # free and transitive
         for n in (1, 2, 3, 4):  # searched exhaustively, checked against the closed form
-            assert hawaiian.deck_group_hn(n) == (
-                sorted(hawaiian.all_sign_vectors(n), reverse=True)
-            )
+            assert hawaiian.deck_group_hn(n) == list(hawaiian.all_sign_vectors(n))
         for _ in range(1000):
             word = hawaiian.random_kernel_word(rng, 12)
             level = rng.randint(1, 12)
             assert hawaiian.kernel_check(word, level)
-            start = tuple(rng.choice((1, -1)) for _ in range(level))
+            start = hawaiian.random_sign_vector(rng, level)
             assert hawaiian.lift_word_hn(level, word, start) == start
         tower = hawaiian.hn_tower(12)
         assert lifting.tower_strictness_check(tower).ok

@@ -3,44 +3,57 @@
 import pytest
 
 from liftlab.amalgam import (
-    amalgam_model,
+    AmalgamModel,
     b_step,
     centralizer_deck_search,
     translation_deck_search,
 )
-from liftlab.profinite import digits_to_int, glue_forward, int_to_digits
+from liftlab.profinite import (
+    default_glue,
+    digits_to_int,
+    glue_backward,
+    glue_forward,
+    int_to_digits,
+)
 
 
 class TestSteps:
     def test_fibre_is_all_binary_strings(self):
-        model = amalgam_model(4)
+        model = AmalgamModel(4)
         fibre = model.fibre()
         assert len(fibre) == 16
         assert len(set(fibre)) == 16
         assert all(len(digits) == 4 for digits in fibre)
 
     def test_b_step_matches_manual_decode(self):
-        model = amalgam_model(6)
+        model = AmalgamModel(6)
         digits = "110010"
-        decoded = glue_forward(model.glue, digits)
+        decoded = glue_forward(default_glue(), digits)
         value = (digits_to_int(decoded.digits, 3) + 1) % 3**decoded.precision
         step = b_step(model, digits)
         assert step.ternary_precision == decoded.precision
-        back = glue_forward(model.glue, step.digits)
+        back = glue_forward(default_glue(), step.digits)
         assert digits_to_int(back.digits, 3) == value
 
     def test_b_inverse_undoes_b_at_certified_precision(self):
-        model = amalgam_model(8)
+        def b_inverse(digits):
+            # the glued ternary -1, decoded and re-encoded as b_step does +1
+            decoded = glue_forward(default_glue(), digits)
+            value = (digits_to_int(decoded.digits, 3) - 1) % 3**decoded.precision
+            out = int_to_digits(value, 3, decoded.precision)
+            return glue_backward(default_glue(), out)
+
+        model = AmalgamModel(8)
         for x in range(0, 256, 7):
             digits = int_to_digits(x, 2, 8)
             forward = b_step(model, digits)
-            back = b_step(model, forward.digits, exponent=-1)
-            p = min(len(digits), len(back.digits))
-            assert digits[:p] == back.digits[:p]
+            back = b_inverse(forward.digits)
+            p = min(len(digits), len(back))
+            assert digits[:p] == back[:p]
 
     def test_precision_never_silently_lost(self):
         # pure b-words: ternary precision stays >= floor(m2/2) - j
-        model = amalgam_model(10)
+        model = AmalgamModel(10)
         for start in ("0110010110", "1111111111", "0000000001"):
             digits = start
             for j in range(1, 6):
@@ -53,36 +66,36 @@ class TestSteps:
 class TestDeckSearch:
     def test_identity_survives_everywhere(self):
         for m in (3, 4, 5, 6):
-            pairs = translation_deck_search(amalgam_model(m))
+            pairs = translation_deck_search(AmalgamModel(m))
             assert any(p.binary_offset == 0 and p.ternary_offset == 0 for p in pairs)
 
     def test_only_identity_at_coarse_precision(self):
-        pairs = translation_deck_search(amalgam_model(6))
+        pairs = translation_deck_search(AmalgamModel(6))
         assert [(p.binary_offset, p.ternary_offset) for p in pairs] == [(0, 0)]
 
     def test_only_identity_at_precision_eight(self):
-        pairs = translation_deck_search(amalgam_model(8))
+        pairs = translation_deck_search(AmalgamModel(8))
         assert [(p.binary_offset, p.ternary_offset) for p in pairs] == [(0, 0)]
 
     def test_centralizer_route_agrees(self):
-        model = amalgam_model(4)
+        model = AmalgamModel(4)
         translations = translation_deck_search(model)
         centralizer = centralizer_deck_search(model)
         assert [p.binary_offset for p in translations] == centralizer == [0]
 
     def test_centralizer_bound(self):
         with pytest.raises(ValueError):
-            centralizer_deck_search(amalgam_model(6))
+            centralizer_deck_search(AmalgamModel(6))
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_matches_per_shift_common_precision(self, m):
         # the search as first written: the common precision taken per shift s
         # as min over x of min(p[x], p[x + s]); the module takes min(p) once
-        model = amalgam_model(m)
+        model = AmalgamModel(m)
         size = 2**m
         decoded = []
         for x in range(size):
-            res = glue_forward(model.glue, int_to_digits(x, 2, m))
+            res = glue_forward(default_glue(), int_to_digits(x, 2, m))
             decoded.append((digits_to_int(res.digits, 3), res.precision))
         expected = []
         for s in range(size):

@@ -1,5 +1,6 @@
 """Thue-Morse generators, window dynamics, witness searches, towers."""
 
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 from random import Random
@@ -33,6 +34,7 @@ from liftlab.symdyn import (
     non_equicontinuity_witness,
     omega0,
     omega0_windows,
+    popcount_parity_prefix,
     proximal_search,
     random_strict_tower,
     shift,
@@ -72,6 +74,19 @@ class TestGenerators:
     def test_prefix_slices(self):
         assert mt_prefix(10) == oracle_thue_morse(10)
         assert mt_prefix(1000) == oracle_thue_morse(1000)
+
+    def test_generators_allocate_no_object_per_symbol(self):
+        # a list of one object per symbol costs 8 bytes a symbol; the string
+        # itself costs one, so a 2**20 prefix must peak well under 4 MiB
+        for build in (lambda: popcount_parity_prefix(2**20), lambda: mt_substitution(20)):
+            tracemalloc.start()
+            try:
+                word = build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert word[:4096] == oracle_thue_morse(4096) and len(word) == 2**20
+            assert peak < 4 * 2**20
 
 
 class TestWindows:
@@ -328,11 +343,16 @@ class TestStrictTowers:
             assert all(row["delta_level"] == row["level"] for row in table)
 
     def test_modulus_reads_the_given_petal(self):
-        # the squaring tower: petal a_j flips coordinate j, so a_3 acts
-        # trivially on level 2 and with order 2 on level 3; row n checks
-        # powers of the step on level n + 1 (the top row on the top level)
-        tower = strict(hn_tower(3))
+        # the squaring tower with one circle kept as petal a: a_j flips
+        # coordinate j, so a_3 acts trivially on level 2 and with order 2 on
+        # level 3; row n checks powers of the step on level n + 1 (the top
+        # row on the top level)
+        squaring = hn_tower(3)
         for petal, powers in (("a1", [2, 2, 2]), ("a3", [1, 2, 2])):
-            table = equicontinuity_modulus(tower, petal)
+            levels = [
+                MonodromySystem(RoseBase(("a",)), lv.fibre, {"a": lv.actions[petal]})
+                for lv in squaring.levels
+            ]
+            table = equicontinuity_modulus(StrictTower(levels, squaring.bonds))
             assert [row["powers_checked"] for row in table] == powers
             assert all(row["delta_level"] == row["level"] for row in table)
