@@ -5,8 +5,8 @@ The fibre is the set of binary digit strings of a fixed length (a truncated
 ``b`` adds one on the ternary side *through the glue*: decode the binary
 digits, add one to the decoded ternary truncation, re-encode. Decoding a
 cut binary string determines only finitely many ternary digits, so every
-b-step reports the ternary precision it achieved and the binary precision
-of its output; nothing is silently truncated or padded.
+b-step reports the ternary precision it achieved, and the length of its
+output is its binary precision; nothing is silently truncated or padded.
 
 That the b-step does not descend to a fixed finite quotient is the whole
 point: it is why the glued system is not an inverse limit of finite covers
@@ -41,10 +41,6 @@ class AmalgamModel:
         if self.binary_precision < 2:
             raise ValueError("binary precision must be >= 2")
 
-    def fibre(self) -> list[str]:
-        m = self.binary_precision
-        return [int_to_digits(x, 2, m) for x in range(2**m)]
-
 
 @dataclass(frozen=True)
 class BStepResult:
@@ -52,13 +48,12 @@ class BStepResult:
 
     digits: str
     ternary_precision: int
-    binary_precision: int
 
 
-def b_step(model: AmalgamModel, digits: str) -> BStepResult:
+def b_step(digits: str) -> BStepResult:
     """Glued ternary +1: decode, add, re-encode, with tracked precision."""
     decoded = glue_forward(GLUE, digits)
-    m3 = decoded.precision
+    m3 = len(decoded.digits)
     if m3 == 0:
         raise ValueError(
             f"{len(digits)} binary digits determine no ternary digit; "
@@ -66,7 +61,7 @@ def b_step(model: AmalgamModel, digits: str) -> BStepResult:
         )
     value = (digits_to_int(decoded.digits, 3) + 1) % 3**m3
     out = glue_backward(GLUE, int_to_digits(value, 3, m3))
-    return BStepResult(out, m3, len(out))
+    return BStepResult(out, m3)
 
 
 @dataclass(frozen=True)
@@ -93,7 +88,7 @@ def translation_deck_search(model: AmalgamModel) -> list[TranslationPair]:
     size = 2**m2
     decoded = [glue_forward(GLUE, int_to_digits(x, 2, m2)) for x in range(size)]
     values = [digits_to_int(res.digits, 3) for res in decoded]
-    common = min(res.precision for res in decoded)
+    common = min(len(res.digits) for res in decoded)
     modulus = 3**common
     survivors = []
     for s in range(size):
@@ -128,9 +123,9 @@ def centralizer_deck_search(model: AmalgamModel) -> list[int]:
         for x in range(size):
             digits = int_to_digits(x, 2, m2)
             shifted = int_to_digits((x + s) % size, 2, m2)
-            left = b_step(model, shifted)
-            right = b_step(model, digits)
-            p = min(left.binary_precision, right.binary_precision)
+            left = b_step(shifted)
+            right = b_step(digits)
+            p = min(len(left.digits), len(right.digits))
             lv = digits_to_int(left.digits, 2) % 2**p
             rv = (digits_to_int(right.digits, 2) + s) % 2**p
             if lv != rv:

@@ -5,10 +5,11 @@ All operations are residue arithmetic with arbitrary-precision integers; no
 floating point enters anywhere. Digit strings are ASCII, least significant
 digit first, so ``"011"`` in base 2 denotes the residue 6.
 
-The glue is a complete prefix-free binary code for ternary digits. Reading a
-binary digit stream through the code (``glue_forward``) is a homeomorphism
-from binary to ternary digit streams; on finite strings it determines only
-finitely many ternary digits and reports exactly how many.
+The glue is the complete prefix-free binary code {0: 00, 1: 01, 2: 1} for
+ternary digits. Reading a binary digit stream through the code
+(``glue_forward``) is a homeomorphism from binary to ternary digit streams; on
+finite strings it determines only finitely many ternary digits and reports
+exactly how many.
 
 ``rigidity_witness`` records the incompatibility of repeated doubling on the
 two sides of the glue: doubling contracts binary residues one valuation step
@@ -18,6 +19,7 @@ is the finite obstruction to a translation-pair symmetry of the glued system.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -149,33 +151,20 @@ def padic_project(x: TruncatedPadic, precision: int) -> TruncatedPadic:
 
 @dataclass(frozen=True)
 class PrefixCodeHomeo:
-    """A complete prefix-free binary code for digits of ``source_base``.
+    """The glue: the binary code {0: 00, 1: 01, 2: 1} for ternary digits.
 
-    ``code[d]`` is the binary codeword emitted for source digit ``d``. The
-    default table {0: 00, 1: 01, 2: 1} is the smallest complete code between
-    ternary and binary digit streams; completeness (Kraft sum exactly 1) plus
-    prefix-freeness make decoding a genuine homeomorphism of digit streams.
+    ``code[d]`` is the binary codeword emitted for ternary digit ``d``. It is
+    the smallest complete code between ternary and binary digit streams;
+    completeness (Kraft sum exactly 1) plus prefix-freeness make decoding a
+    genuine homeomorphism of digit streams. The decode and encode tables are
+    derived once from ``code``.
     """
 
-    source_base = 3  # unannotated, so a class constant rather than a field
-    code: tuple[str, ...] = ("00", "01", "1")
-
-    def __post_init__(self) -> None:
-        if len(self.code) != self.source_base:
-            raise ValueError("need exactly one codeword per source digit")
-        for word in self.code:
-            if not word or any(c not in "01" for c in word):
-                raise ValueError(f"codeword {word!r} is not a nonempty binary string")
-        for i, w in enumerate(self.code):
-            for j, v in enumerate(self.code):
-                if i != j and v.startswith(w):
-                    raise ValueError(f"codeword {w!r} is a prefix of {v!r}")
-        if self.kraft_sum != 1:
-            raise ValueError(f"code is not complete: Kraft sum {self.kraft_sum}")
-
-    @property
-    def kraft_sum(self) -> Fraction:
-        return sum((Fraction(1, 2 ** len(w)) for w in self.code), Fraction(0))
+    code = ("00", "01", "1")
+    decode = {word: str(d) for d, word in enumerate(code)}
+    encode = str.maketrans({str(d): word for d, word in enumerate(code)})
+    # a whole codeword, else everything from the first undecodable position
+    pattern = re.compile("|".join(code) + "|.+", re.DOTALL)
 
 
 def default_glue() -> PrefixCodeHomeo:
@@ -187,43 +176,27 @@ class GlueResult:
     """Outcome of a partial decode: full digits determined, tail discarded."""
 
     digits: str
-    precision: int
     leftover: str
 
 
 def glue_forward(glue: PrefixCodeHomeo, binary: str) -> GlueResult:
-    """Greedily decode a binary digit string into source-base digits.
+    """Decode a binary digit string into ternary digits.
 
     Only whole codewords produce digits; a trailing partial codeword is
     reported as leftover. The count of decoded digits is the achieved
-    precision on the source-base side.
+    precision on the ternary side.
     """
-    table = {w: i for i, w in enumerate(glue.code)}
-    lengths = sorted({len(w) for w in glue.code})
-    out = []
-    pos = 0
-    n = len(binary)
-    while pos < n:
-        for length in lengths:
-            piece = binary[pos : pos + length]
-            if len(piece) == length and piece in table:
-                out.append(_DIGIT_CHARS[table[piece]])
-                pos += length
-                break
-        else:
-            break
-    return GlueResult("".join(out), len(out), binary[pos:])
+    pieces = glue.pattern.findall(binary)
+    leftover = pieces.pop() if pieces and pieces[-1] not in glue.decode else ""
+    return GlueResult("".join(map(glue.decode.__getitem__, pieces)), leftover)
 
 
 def glue_backward(glue: PrefixCodeHomeo, digits: str) -> str:
     """Concatenate codewords; exact inverse of ``glue_forward`` on full inputs."""
-    out = []
-    for ch in digits:
-        d = ord(ch) - ord("0")
-        if not 0 <= d < glue.source_base:
-            raise ValueError(f"digit {ch!r} out of range for base {glue.source_base}")
-        out.append(glue.code[d])
-    return "".join(out)
+    bad = digits.strip("012")  # starts at the first non-ternary character
+    if bad:
+        raise ValueError(f"digit {bad[0]!r} out of range for base 3")
+    return digits.translate(glue.encode)
 
 
 def glue_value(glue: PrefixCodeHomeo, x: TruncatedPadic) -> TruncatedPadic:
@@ -231,11 +204,9 @@ def glue_value(glue: PrefixCodeHomeo, x: TruncatedPadic) -> TruncatedPadic:
     if x.base != 2:
         raise ValueError("glue consumes base-2 truncations")
     res = glue_forward(glue, x.digits())
-    if res.precision == 0:
-        raise GluePrecisionError(
-            f"{x.precision} binary digits determine no base-{glue.source_base} digit"
-        )
-    return TruncatedPadic.from_digits(res.digits, glue.source_base)
+    if not res.digits:
+        raise GluePrecisionError(f"{x.precision} binary digits determine no base-3 digit")
+    return TruncatedPadic.from_digits(res.digits, 3)
 
 
 def normalized_glue(glue: PrefixCodeHomeo, x: TruncatedPadic) -> TruncatedPadic:

@@ -165,21 +165,16 @@ class SubshiftSample:
     factors: frozenset[str]
 
 
-def _source_symbols(source: str | CentralWord) -> str:
-    return source.symbols if isinstance(source, CentralWord) else source
-
-
-def factor_language(source: str | CentralWord, length: int) -> SubshiftSample:
-    """All length-L contiguous subwords of the source."""
-    word = _source_symbols(source)
+def factor_language(word: str, length: int) -> SubshiftSample:
+    """All length-L contiguous subwords of the word."""
     if length < 1 or length > len(word):
         raise ValueError(f"factor length {length} outside [1, {len(word)}]")
     factors = {word[i : i + length] for i in range(len(word) - length + 1)}
     return SubshiftSample(length, frozenset(factors))
 
 
-def factor_counts(source: str | CentralWord, lengths: range) -> dict[int, int]:
-    return {L: len(factor_language(source, L).factors) for L in lengths}
+def factor_counts(word: str, lengths: range) -> dict[int, int]:
+    return {L: len(factor_language(word, L).factors) for L in lengths}
 
 
 def aperiodicity_check(word: str, max_period: int) -> int | None:

@@ -18,48 +18,37 @@ from liftlab.profinite import (
 
 
 class TestSteps:
-    def test_fibre_is_all_binary_strings(self):
-        model = AmalgamModel(4)
-        fibre = model.fibre()
-        assert len(fibre) == 16
-        assert len(set(fibre)) == 16
-        assert all(len(digits) == 4 for digits in fibre)
-
     def test_b_step_matches_manual_decode(self):
-        model = AmalgamModel(6)
         digits = "110010"
         decoded = glue_forward(default_glue(), digits)
-        value = (digits_to_int(decoded.digits, 3) + 1) % 3**decoded.precision
-        step = b_step(model, digits)
-        assert step.ternary_precision == decoded.precision
+        value = (digits_to_int(decoded.digits, 3) + 1) % 3 ** len(decoded.digits)
+        step = b_step(digits)
+        assert step.ternary_precision == len(decoded.digits)
         back = glue_forward(default_glue(), step.digits)
         assert digits_to_int(back.digits, 3) == value
 
     def test_b_inverse_undoes_b_at_certified_precision(self):
         def b_inverse(digits):
             # the glued ternary -1, decoded and re-encoded as b_step does +1
-            decoded = glue_forward(default_glue(), digits)
-            value = (digits_to_int(decoded.digits, 3) - 1) % 3**decoded.precision
-            out = int_to_digits(value, 3, decoded.precision)
-            return glue_backward(default_glue(), out)
+            decoded = glue_forward(default_glue(), digits).digits
+            m3 = len(decoded)
+            value = (digits_to_int(decoded, 3) - 1) % 3**m3
+            return glue_backward(default_glue(), int_to_digits(value, 3, m3))
 
-        model = AmalgamModel(8)
         for x in range(0, 256, 7):
             digits = int_to_digits(x, 2, 8)
-            forward = b_step(model, digits)
+            forward = b_step(digits)
             back = b_inverse(forward.digits)
             p = min(len(digits), len(back))
             assert digits[:p] == back[:p]
 
     def test_precision_never_silently_lost(self):
         # pure b-words: ternary precision stays >= floor(m2/2) - j
-        model = AmalgamModel(10)
         for start in ("0110010110", "1111111111", "0000000001"):
             digits = start
             for j in range(1, 6):
-                step = b_step(model, digits)
+                step = b_step(digits)
                 assert step.ternary_precision >= 10 // 2 - j
-                assert step.binary_precision == len(step.digits)
                 digits = step.digits
 
 
@@ -96,7 +85,7 @@ class TestDeckSearch:
         decoded = []
         for x in range(size):
             res = glue_forward(default_glue(), int_to_digits(x, 2, m))
-            decoded.append((digits_to_int(res.digits, 3), res.precision))
+            decoded.append((digits_to_int(res.digits, 3), len(res.digits)))
         expected = []
         for s in range(size):
             common = min(

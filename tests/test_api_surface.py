@@ -28,10 +28,7 @@ TEST_ORACLES = {
 }
 
 
-TEST_SET_PARAMETERS = {
-    "PrefixCodeHomeo(code)": "the tests build overlapping, incomplete and "
-    "permuted tables to check that only complete prefix-free codes are accepted",
-}
+TEST_SET_PARAMETERS: dict[str, str] = {}
 
 
 def public_definitions() -> dict[str, str]:

@@ -183,38 +183,62 @@ class TestDigitStrings:
             assert digits_to_int(int_to_digits(value, 3, 5), 3) == value
 
 
+def greedy_decode(code: tuple[str, ...], binary: str) -> tuple[str, str]:
+    """The codec as first written: try codeword lengths shortest first."""
+    table = {w: i for i, w in enumerate(code)}
+    lengths = sorted({len(w) for w in code})
+    out = []
+    pos = 0
+    while pos < len(binary):
+        for length in lengths:
+            piece = binary[pos : pos + length]
+            if len(piece) == length and piece in table:
+                out.append(str(table[piece]))
+                pos += length
+                break
+        else:
+            break
+    return "".join(out), binary[pos:]
+
+
 class TestGlueCode:
     def test_default_table_is_complete_and_prefix_free(self):
-        glue = default_glue()
-        assert glue.kraft_sum == 1
-        for i, w in enumerate(glue.code):
-            for j, v in enumerate(glue.code):
+        code = PrefixCodeHomeo.code
+        assert code == ("00", "01", "1")
+        assert sum(Fraction(1, 2 ** len(w)) for w in code) == 1
+        for i, w in enumerate(code):
+            for j, v in enumerate(code):
                 assert i == j or not v.startswith(w)
-
-    def test_incomplete_or_overlapping_tables_rejected(self):
-        with pytest.raises(ValueError):
-            PrefixCodeHomeo(code=("0", "01", "1"))  # prefix clash
-        with pytest.raises(ValueError):
-            PrefixCodeHomeo(code=("00", "01", "10"))  # Kraft sum 3/4
 
     def test_forward_examples(self):
         glue = default_glue()
         empty = glue_forward(glue, "")
-        assert empty.digits == "" and empty.precision == 0
+        assert empty.digits == "" and empty.leftover == ""
         res = glue_forward(glue, "0001")
-        assert (res.digits, res.precision, res.leftover) == ("01", 2, "")
+        assert (res.digits, res.leftover) == ("01", "")
         res = glue_forward(glue, "11")
-        assert (res.digits, res.precision) == ("22", 2)
+        assert (res.digits, res.leftover) == ("22", "")
         partial = glue_forward(glue, "110")
         assert partial.digits == "22" and partial.leftover == "0"
+
+    def test_forward_matches_greedy_oracle(self):
+        glue = default_glue()
+        for length in range(15):
+            for bits in itertools.product("01", repeat=length):
+                s = "".join(bits)
+                res = glue_forward(glue, s)
+                assert (res.digits, res.leftover) == greedy_decode(glue.code, s), s
 
     def test_backward_examples(self):
         glue = default_glue()
         assert glue_backward(glue, "") == ""
         assert glue_backward(glue, "2") == "1"
         assert glue_backward(glue, "01") == "0001"
-        with pytest.raises(ValueError):
-            glue_backward(glue, "3")
+
+    @pytest.mark.parametrize("digits", ["3", "0a0", "01 "])
+    def test_backward_rejects_non_ternary_characters(self, digits):
+        with pytest.raises(ValueError, match="out of range for base 3"):
+            glue_backward(default_glue(), digits)
 
     def test_round_trip_short_exhaustive(self):
         glue = default_glue()
@@ -223,14 +247,6 @@ class TestGlueCode:
                 s = "".join(digits)
                 res = glue_forward(glue, glue_backward(glue, s))
                 assert res.digits == s and res.leftover == ""
-
-    def test_alternate_table_round_trip(self):
-        glue = PrefixCodeHomeo(code=("1", "01", "00"))
-        assert glue.kraft_sum == 1
-        for digits in itertools.product("012", repeat=6):
-            s = "".join(digits)
-            res = glue_forward(glue, glue_backward(glue, s))
-            assert res.digits == s
 
 
 class TestRigidity:

@@ -197,7 +197,7 @@ class TestFactorLanguage:
         # the one-sided language; at short lengths the two coincide here
         window = omega0(2**12)
         for L in range(1, 7):
-            assert factor_language(window, L).factors == factor_language(
+            assert factor_language(window.symbols, L).factors == factor_language(
                 mt_prefix(2**13), L
             ).factors
 

@@ -1,8 +1,9 @@
 """Every function the benchmark's traced run wraps still exists.
 
 ``perfbench/layers.py`` names its trace targets by module and attribute; a
-refactor that renames or drops one should fail here rather than in a
-benchmark run.
+refactor that renames or drops one, or breaks a binding or call the
+benchmark relies on, should fail here rather than in a benchmark run (the
+tier-1 suite does not collect ``perfbench/tests``).
 """
 
 import importlib
@@ -10,6 +11,8 @@ import importlib.util
 import pathlib
 
 import pytest
+
+from liftlab import amalgam, experiments, hawaiian, lifting, profinite
 
 LAYERS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
@@ -32,3 +35,20 @@ def test_target_resolves(module_name, attr):
         assert callable(vars(getattr(module, class_name)).get(method)), attr
     else:
         assert callable(getattr(module, attr, None)), attr
+
+
+def test_by_name_bindings_are_the_defining_functions():
+    # the tracer patches these bindings too; a local redefinition would
+    # escape it, and the pinned call counts would drop
+    assert amalgam.glue_forward is profinite.glue_forward
+    assert amalgam.glue_backward is profinite.glue_backward
+    assert hawaiian.deck_search is lifting.deck_search
+    assert experiments.rigidity_witness is profinite.rigidity_witness
+
+
+def test_glue_interface_the_workloads_call():
+    glue = profinite.default_glue()
+    res = profinite.glue_forward(glue, profinite.glue_backward(glue, "0120"))
+    assert (res.digits, res.leftover) == ("0120", "")
+    # the tracer's pair counter reads the model's precision
+    assert amalgam.AmalgamModel(3).binary_precision == 3
