@@ -589,8 +589,9 @@ SPECS: dict[str, Spec] = {
         "irrational-orbits-dense",
         "The largest gap of an irrational rotation orbit shrinks as the "
         "orbit grows, while a rational rotation's gap stalls.",
-        {"horizon": Knob(int, 1000, low=8, high=100_000, why="the gap comparison "
-                         "needs 8 points, and each orbit is sorted exactly")},
+        {"horizon": Knob(int, 1000, low=12, high=100_000, why="the 1/3 control "
+                         "orbit of horizon // 4 points shows its gap 1/3 only from 3 "
+                         "points on, and each orbit is sorted exactly")},
     ),
 }
 

@@ -16,6 +16,7 @@ the flag through rather than silently pretending the model is complete.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -432,10 +433,11 @@ def rotation_orbit_gaps(alpha: Fraction, count: int) -> Fraction:
     """Largest circular gap in {k * alpha mod 1 : k < count}, exactly."""
     if count < 2:
         raise ValueError("need at least two orbit points")
-    points = sorted((k * alpha) % 1 for k in range(count))
-    gaps = [b - a for a, b in zip(points, points[1:])]
-    gaps.append(points[0] + 1 - points[-1])
-    return max(gaps)
+    # with alpha = a/q, k * alpha mod 1 is (k * a mod q) / q: sort integers
+    a, q = alpha.numerator, alpha.denominator
+    points = sorted(k * a % q for k in range(count))
+    inner = max(map(operator.sub, points[1:], points))
+    return Fraction(max(inner, points[0] + q - points[-1]), q)
 
 
 def golden_ratio_64bit() -> Fraction:

@@ -199,20 +199,20 @@ def glue_backward(glue: PrefixCodeHomeo, digits: str) -> str:
     return digits.translate(glue.encode)
 
 
-def glue_value(glue: PrefixCodeHomeo, x: TruncatedPadic) -> TruncatedPadic:
+def glue_value(x: TruncatedPadic) -> TruncatedPadic:
     """Image of a binary truncation on the ternary side, at achieved precision."""
     if x.base != 2:
         raise ValueError("glue consumes base-2 truncations")
-    res = glue_forward(glue, x.digits())
+    res = glue_forward(default_glue(), x.digits())
     if not res.digits:
         raise GluePrecisionError(f"{x.precision} binary digits determine no base-3 digit")
     return TruncatedPadic.from_digits(res.digits, 3)
 
 
-def normalized_glue(glue: PrefixCodeHomeo, x: TruncatedPadic) -> TruncatedPadic:
+def normalized_glue(x: TruncatedPadic) -> TruncatedPadic:
     """The offset-free glue image: image of x minus image of 0, ternary side."""
-    fx = glue_value(glue, x)
-    f0 = glue_value(glue, TruncatedPadic(2, x.precision, 0))
+    fx = glue_value(x)
+    f0 = glue_value(TruncatedPadic(2, x.precision, 0))
     m = min(fx.precision, f0.precision)
     return padic_sub(padic_project(fx, m), padic_project(f0, m))
 
@@ -268,7 +268,7 @@ def rigidity_witness(a: TruncatedPadic, iterations: int) -> RigidityReport:
         raise ValueError("a = 0 is the excluded case: its glued offset is 0")
     if iterations < 2:
         raise ValueError("need at least two iterations to compare")
-    fbar = normalized_glue(default_glue(), a)
+    fbar = normalized_glue(a)
     if fbar.residue == 0:
         raise GluePrecisionError(
             f"normalized glue image vanishes at ternary precision {fbar.precision}; "

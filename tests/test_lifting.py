@@ -1,6 +1,7 @@
 """Monodromy evaluation, orbits, deck search, towers, models."""
 
 import json
+from bisect import insort
 from fractions import Fraction
 from random import Random
 from time import perf_counter
@@ -280,6 +281,25 @@ class TestRotation:
         g1000 = rotation_orbit_gaps(alpha, 1000)
         assert g1000 < g250
         assert g1000 < Fraction(1, 100)
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [golden_ratio_64bit(), Fraction(1, 3), Fraction(3, 7), Fraction(-2, 5)],
+        ids=["golden", "1/3", "3/7", "-2/5"],
+    )
+    def test_gaps_match_a_fraction_sort_and_the_three_gap_theorem(self, alpha):
+        points = [Fraction(0)]
+        for count in range(2, 301):
+            insort(points, ((count - 1) * alpha) % 1)
+            gaps = [b - a for a, b in zip(points, points[1:])]
+            gaps.append(points[0] + 1 - points[-1])
+            assert rotation_orbit_gaps(alpha, count) == max(gaps), count
+            # Sos (1958): between distinct points at most three gap lengths,
+            # and the largest of three is the sum of the other two
+            lengths = sorted(set(gaps) - {0})
+            assert len(lengths) <= 3, count
+            if len(lengths) == 3:
+                assert lengths[2] == lengths[0] + lengths[1], count
 
     def test_golden_approximation_quality(self):
         alpha = golden_ratio_64bit()

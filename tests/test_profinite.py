@@ -292,13 +292,12 @@ class TestRigidity:
             assert len(set(d.bound for d in report.w_distances)) == 1
 
     def test_normalized_glue_matches_definition(self):
-        glue = default_glue()
         a = TruncatedPadic(2, 16, 12345)
-        fa = glue_value(glue, a)
-        f0 = glue_value(glue, TruncatedPadic(2, 16, 0))
+        fa = glue_value(a)
+        f0 = glue_value(TruncatedPadic(2, 16, 0))
         m = min(fa.precision, f0.precision)
         expected = (fa.residue - f0.residue) % 3**m
-        assert normalized_glue(glue, a).residue == expected
+        assert normalized_glue(a).residue == expected
 
     def test_precision_error_names_requirement(self):
         # residue 4 at precision 3 has digits "001": its decode differs from

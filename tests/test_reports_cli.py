@@ -259,6 +259,16 @@ class TestCli:
             "--circles", "14",
         ).returncode == 2
 
+    def test_rotation_horizon_floor(self):
+        # below 12 the 1/3 control orbit has 2 points, so its gap reads 2/3
+        result = run_cli("--experiment", "rotation-density", "--horizon", "11")
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: --horizon must be >= 12: ")
+        assert result.stderr.count("\n") == 1
+        result = run_cli("--experiment", "rotation-density", "--horizon", "12")
+        assert result.returncode == 0
+        assert json.loads(result.stdout)["verdict"] == "pass"
+
     def test_unknown_experiment_usage_error(self):
         result = run_cli("--experiment", "bogus")
         assert result.returncode == 2

@@ -1,6 +1,7 @@
 """Thue-Morse generators, window dynamics, witness searches, towers."""
 
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from random import Random
@@ -124,6 +125,19 @@ class TestWindows:
     def test_shift_window_error(self):
         with pytest.raises(WindowError):
             shift(omega0(3), 3)
+
+    @pytest.mark.parametrize("bad", ["2", " ", "\u00e9"])
+    @pytest.mark.parametrize("position", [0, 3, 7])
+    def test_window_rejects_a_foreign_symbol_anywhere(self, bad, position):
+        symbols = "01101001"
+        CentralWord(4, symbols)
+        with pytest.raises(ValueError, match="0/1"):
+            CentralWord(4, symbols[:position] + bad + symbols[position + 1 :])
+
+    def test_window_rejects_a_wrong_length(self):
+        for symbols in ("011", "01100", ""):
+            with pytest.raises(ValueError, match="needs 4 symbols"):
+                CentralWord(2, symbols)
 
     def test_metric_examples(self):
         x = omega0(8)
@@ -341,6 +355,30 @@ class TestStrictTowers:
             tower = random_strict_tower(seed)
             table = equicontinuity_modulus(tower)
             assert all(row["delta_level"] == row["level"] for row in table)
+            # every ordered pair within a fibre is certified; the top row
+            # counts the top level's points
+            squares = [
+                sum(size**2 for size in Counter(bond.values()).values())
+                for bond in tower.bonds
+            ]
+            assert [row["pairs_checked"] for row in table] == squares + [
+                len(tower.levels[-1].fibre)
+            ]
+
+    def test_modulus_detects_a_broken_bond_past_the_first_member(self):
+        # Z/6 over Z/2 by reduction mod 2: fibres {0, 2, 4} and {1, 3, 5}
+        circle = RoseBase(("a",))
+        lower = MonodromySystem(circle, [0, 1], {"a": {0: 1, 1: 0}})
+        upper = MonodromySystem(
+            circle, list(range(6)), {"a": {p: (p + 1) % 6 for p in range(6)}}
+        )
+        tower = StrictTower([lower, upper], [{p: p % 2 for p in range(6)}])
+        assert equicontinuity_modulus(tower)[0]["pairs_checked"] == 18
+        # moving 4 into the fibre over 1 puts it after 1 and 3 there, so the
+        # mismatch shows on members that are not first in their fibre
+        tower.bonds[0][4] = 1
+        with pytest.raises(AssertionError, match="agreement not preserved"):
+            equicontinuity_modulus(tower)
 
     def test_modulus_reads_the_given_petal(self):
         # the squaring tower with one circle kept as petal a: a_j flips

@@ -1,4 +1,5 @@
-"""Every function the benchmark's traced run wraps still exists.
+"""Every function the benchmark's traced run wraps still exists, and the
+`shift` counts it pins still hold.
 
 ``perfbench/layers.py`` names its trace targets by module and attribute; a
 refactor that renames or drops one, or breaks a binding or call the
@@ -12,7 +13,7 @@ import pathlib
 
 import pytest
 
-from liftlab import amalgam, experiments, hawaiian, lifting, profinite
+from liftlab import amalgam, experiments, hawaiian, lifting, profinite, symdyn
 
 LAYERS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
@@ -52,3 +53,32 @@ def test_glue_interface_the_workloads_call():
     assert (res.digits, res.leftover) == ("0120", "")
     # the tracer's pair counter reads the model's precision
     assert amalgam.AmalgamModel(3).binary_precision == 3
+
+
+def test_shift_workload_counters(monkeypatch):
+    # the counters that perfbench/layers.py pins for the shift workload; the
+    # witness searches call the module-level shift and word_metric once per step
+    calls = {"shift": 0, "word_metric": 0, "pairs_checked": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(symdyn, name, wrapper)
+
+    counted("shift", symdyn.shift)
+    counted("word_metric", symdyn.word_metric)
+    experiments.run_mt_dynamics(16, 5, 512, 192)
+    assert (calls["shift"], calls["word_metric"]) == (22_774, 11_389)
+
+    modulus = symdyn.equicontinuity_modulus
+
+    def observed(tower):
+        table = modulus(tower)
+        calls["pairs_checked"] += sum(row["pairs_checked"] for row in table)
+        return table
+
+    monkeypatch.setattr(symdyn, "equicontinuity_modulus", observed)
+    experiments.run_tower_equicontinuity(10, 20, 20260808)
+    assert calls["pairs_checked"] == 8_301
