@@ -8,7 +8,10 @@ labeling from point 0 and keeping those whose BFS code is minimal over all
 start points. Minimality is tested on every partial table, as in Sims'
 low-index subgroups algorithm (C. C. Sims, *Computation with Finitely
 Presented Groups*, 1994, ch. 5), so a branch is cut as soon as some start
-point's code is already smaller.
+point's code is already smaller. Each start's comparison resumes at the
+entry where it last stopped: it stopped because that entry was undefined,
+and a slot assignment defines only two entries, so only the starts stopped
+at one of those two can move on.
 
 The obstruction: a connected cover compatible with the binary solenoid side
 must have a petal cycle of length d with d a power of 2, and with the
@@ -42,14 +45,10 @@ class CoveringPermutationRep:
         raise ValueError(f"unknown petal {petal!r}")
 
     def as_system(self) -> MonodromySystem:
-        points = range(self.degree)
         return MonodromySystem(
             RoseBase(FIGURE_EIGHT),
-            points,
-            {
-                "a": {x: self.perm_a[x] for x in points},
-                "b": {x: self.perm_b[x] for x in points},
-            },
+            range(self.degree),
+            {"a": dict(enumerate(self.perm_a)), "b": dict(enumerate(self.perm_b))},
         )
 
 
@@ -107,30 +106,43 @@ def cyclic_quotient_compatible(
 _SLOTS_PER_POINT = 4  # sigma_a, sigma_a^-1, sigma_b, sigma_b^-1
 
 
-def _code_compare(tables, d: int, start: int) -> int:
-    """Compare the partial BFS code from ``start`` with the identity code.
+def _resume(tables, d: int, state):
+    """Advance one start's comparison with the identity code from where it stopped.
 
     ``tables`` holds the four slot tables, -1 marking an undefined entry.
-    Entries are compared in order up to the first one undefined on either
-    side. Returns -1 / +1 when the code from ``start`` is already smaller /
-    larger, and 0 while undecided; on a complete table 0 means equal.
+    ``state`` is ``(blocker, label, order, x, k)``: the start's partial
+    relabeling (``label``, and ``order`` listing the points in the order
+    they were labeled) and the entry it stopped at, table ``k`` at BFS
+    position ``x``. ``blocker`` is ``k * d + p`` for the undefined entry
+    ``tables[k][p]`` that stopped it, -1 once the code is compared in full.
+    Returns -1 / +1 when the code from the start is already smaller /
+    larger, else 0 and the advanced state. ``label`` and ``order`` are
+    copied before they grow, so the state passed in stays valid for the
+    sibling branches.
     """
-    label = [-1] * d
-    label[start] = 0
-    order = [start]
-    for x, old in enumerate(order):  # order grows as the BFS labels points
-        for table in tables:
+    _, label, order, x, k = state
+    copied = False
+    while x < len(order):
+        old = order[x]
+        while k < _SLOTS_PER_POINT:
+            table = tables[k]
             reference = table[x]
+            if reference == -1:
+                return 0, (k * d + x, label, order, x, k)
             neighbor = table[old]
-            if reference == -1 or neighbor == -1:
-                return 0
+            if neighbor == -1:
+                return 0, (k * d + old, label, order, x, k)
             relabeled = label[neighbor]
             if relabeled == -1:
+                if not copied:
+                    label, order, copied = label[:], order[:], True
                 relabeled = label[neighbor] = len(order)
                 order.append(neighbor)
             if relabeled != reference:
-                return -1 if relabeled < reference else 1
-    return 0
+                return (-1 if relabeled < reference else 1), None
+            k += 1
+        x, k = x + 1, 0
+    return 0, (-1, label, order, x, k)
 
 
 def iter_connected_coverings(
@@ -140,13 +152,17 @@ def iter_connected_coverings(
 
     Backtracking over partial permutation pairs in breadth-first slot order;
     fresh points always receive the next label, so every table is BFS-labeled
-    from point 0 and its code is the identity code. After every slot
-    assignment each start point still undecided is compared with it on the
-    entries defined so far (Sims' minimality test, 1994, ch. 5). Completing
-    a table never changes a defined entry, so a start whose code is already
-    smaller prunes the whole subtree, and one whose code is already larger
-    is dropped for the subtree. A complete table that survives is minimal
-    over all start points and is emitted.
+    from point 0 and its code is the identity code. Each start point still
+    undecided is compared with it on the entries defined so far (Sims'
+    minimality test, 1994, ch. 5). Completing a table never changes a
+    defined entry, so a start whose code is already smaller prunes the whole
+    subtree, and one whose code is already larger is dropped for the
+    subtree. A start that stays undecided stopped at one undefined entry and
+    keeps its partial relabeling; an assignment defines exactly two entries,
+    (kind, x) and (kind ^ 1, v), so only the starts stopped at one of those
+    two resume, from where they stopped, and every other start's comparison
+    would stop at the same place again. A complete table that survives is
+    minimal over all start points and is emitted.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -155,18 +171,8 @@ def iter_connected_coverings(
     d = degree
     tables = [[-1] * d for _ in range(_SLOTS_PER_POINT)]
 
-    def undecided(starts: list[int]) -> list[int] | None:
-        alive = []
-        for start in starts:
-            sign = _code_compare(tables, d, start)
-            if sign < 0:
-                return None
-            if sign == 0:
-                alive.append(start)
-        return alive
-
     def solve(
-        slot: int, labeled: int, starts: list[int]
+        slot: int, labeled: int, starts: list
     ) -> Iterator[CoveringPermutationRep]:
         while slot < labeled * _SLOTS_PER_POINT:
             x, kind = divmod(slot, _SLOTS_PER_POINT)
@@ -179,18 +185,35 @@ def iter_connected_coverings(
             return
 
         table, partner = tables[kind], tables[kind ^ 1]
+        entry = kind * d + x
         for v in range(min(labeled + 1, d)):
             fresh = v == labeled
             if not fresh and partner[v] != -1:
                 continue
             table[x] = v
             partner[v] = x
-            alive = undecided(starts)
+            partner_entry = (kind ^ 1) * d + v
+            alive: list | None = []
+            for state in starts:
+                if state[0] == entry or state[0] == partner_entry:
+                    sign, state = _resume(tables, d, state)
+                    if sign < 0:
+                        alive = None
+                        break
+                    if sign > 0:
+                        continue
+                alive.append(state)
             if alive is not None:
                 yield from solve(slot + 1, labeled + fresh, alive)
             table[x] = partner[v] = -1
 
-    yield from solve(0, 1, list(range(1, d)))
+    # every start first stops at entry (0, 0), undefined until slot 0
+    starts = []
+    for start in range(1, d):
+        label = [-1] * d
+        label[start] = 0
+        starts.append((0, label, [start], 0, 0))
+    yield from solve(0, 1, starts)
 
 
 def enumerate_connected_coverings(

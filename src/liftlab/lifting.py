@@ -86,14 +86,15 @@ class MonodromySystem:
         self.index = {p: i for i, p in enumerate(self.fibre)}
         if len(self.index) != len(self.fibre):
             raise ValueError("fibre labels must be distinct")
-        self.actions = {petal: dict(actions[petal]) for petal in base.petals}
         if set(actions) != set(base.petals):
             raise ValueError("need exactly one action per petal")
+        self.actions = {petal: dict(actions[petal]) for petal in base.petals}
+        points = set(self.fibre)
         for petal, act in self.actions.items():
-            if set(act) != set(self.fibre) or set(act.values()) != set(self.fibre):
+            if act.keys() != points or set(act.values()) != points:
                 raise ValueError(f"action of petal {petal!r} is not a fibre bijection")
         self.inverse = {
-            petal: {v: k for k, v in act.items()} for petal, act in self.actions.items()
+            petal: dict(zip(act.values(), act)) for petal, act in self.actions.items()
         }
         self.metric = metric
         self.clamped = frozenset(clamped)
@@ -143,6 +144,12 @@ def lift_word_flagged(sys: MonodromySystem, word: LoopWord, start):
     return point, crossed
 
 
+def _step_tables(sys: MonodromySystem) -> list[dict]:
+    """Each petal's action and its inverse as point tables, petal by petal."""
+    return [table for petal in sys.base.petals
+            for table in (sys.actions[petal], sys.inverse[petal])]
+
+
 def orbit_partition(sys: MonodromySystem) -> list[list]:
     """Orbits of the group generated by all petal actions.
 
@@ -150,6 +157,7 @@ def orbit_partition(sys: MonodromySystem) -> list[list]:
     space. Orbits are returned sorted by least fibre index, each sorted by
     fibre index, so the partition is deterministic.
     """
+    steps = _step_tables(sys)
     seen = set()
     orbits = []
     for p in sys.fibre:
@@ -161,11 +169,11 @@ def orbit_partition(sys: MonodromySystem) -> list[list]:
         while stack:
             q = stack.pop()
             orbit.append(q)
-            for petal in sys.base.petals:
-                for nxt in (sys.actions[petal][q], sys.inverse[petal][q]):
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
+            for step in steps:
+                nxt = step[q]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
         orbits.append(sorted(orbit, key=sys.index.__getitem__))
     return orbits
 
@@ -277,22 +285,22 @@ def tower_strictness_check(tower: TowerModel) -> StrictnessVerdict:
 # deck transformations
 
 
-def _propagate_equivariant(sys: MonodromySystem, orbit: list, target):
+def _propagate_equivariant(steps: list[dict], orbit: list, target):
     """Extend rep -> target equivariantly over the orbit; None on conflict."""
     h = {orbit[0]: target}
     stack = [orbit[0]]
     while stack:
         p = stack.pop()
-        for petal in sys.base.petals:
-            for exp in (1, -1):
-                q = sys.act(petal, p, exp)
-                image = sys.act(petal, h[p], exp)
-                if q in h:
-                    if h[q] != image:
-                        return None
-                else:
-                    h[q] = image
-                    stack.append(q)
+        hp = h[p]
+        for step in steps:
+            q = step[p]
+            image = step[hp]
+            if q in h:
+                if h[q] != image:
+                    return None
+            else:
+                h[q] = image
+                stack.append(q)
     if len(set(h.values())) != len(orbit):
         return None
     return h
@@ -308,11 +316,12 @@ def deck_search(sys: MonodromySystem, max_results: int = 20000) -> list[dict]:
     bijection.
     """
     orbits = orbit_partition(sys)
+    steps = _step_tables(sys)
     per_orbit = []
     for orbit in orbits:
         candidates = []
         for y in sys.fibre:
-            h = _propagate_equivariant(sys, orbit, y)
+            h = _propagate_equivariant(steps, orbit, y)
             if h is not None:
                 candidates.append(h)
         per_orbit.append(candidates)

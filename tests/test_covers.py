@@ -1,5 +1,6 @@
 """Cover enumeration correctness against brute force and subgroup counts."""
 
+import hashlib
 import itertools
 from math import factorial
 
@@ -13,6 +14,7 @@ from liftlab.covers import (
     factorization_obstruction,
     full_cycle_coverings,
     is_power,
+    iter_connected_coverings,
 )
 from liftlab.lifting import deck_search
 
@@ -185,6 +187,24 @@ class TestEnumeration:
                 centralizer = len(deck_search(rep.as_system()))
                 total += factorial(d) // centralizer
             assert total == counts[d] * factorial(d - 1)
+
+    def test_emission_order_is_pinned(self):
+        # SHA-256 of bytes(perm_a + perm_b) for each rep in the order yielded;
+        # how the minimality test is run must not change which reps come
+        # out, or in which order
+        expected = {
+            2: "382d64a0c54b98d08b49ddc96ccd2544f3274d86115a4ecc9f0b042f635ce578",
+            3: "1b79e2c2225fbe4389f88d81fad9a9a6c5f261d2bce64b8bfb925ab70b8b6ddb",
+            4: "2ff40d2d2b30a2430e88da86ddc042aa2ca8a10293c0ec6dc0fdb67a4e3b1098",
+            5: "e5bb33422f67b5b09a577c8c3cce4cd0e977e3e480ab8ea9e6476af972dfd11b",
+            6: "9b2c6c8b5e4336736c7ded0ce4930383cac331594a2923a0dba93b958443fac8",
+            7: "1619989412b1a2e69d4cdb10dedeb5bef9b27e37c63d6e157e81c3ba4900f6a6",
+        }
+        for d, digest in expected.items():
+            sha = hashlib.sha256()
+            for rep in iter_connected_coverings(d):
+                sha.update(bytes(rep.perm_a + rep.perm_b))
+            assert sha.hexdigest() == digest, d
 
     def test_degree_bound_enforced(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Monodromy evaluation, orbits, deck search, towers, models."""
 
+import itertools
 import json
 from bisect import insort
 from fractions import Fraction
@@ -115,6 +116,13 @@ class TestLifting:
                 assert lift_word(sys, w1 + inverse_word(w1), start) == start
                 checked += 1
 
+    def test_petal_set_checked_before_actions_are_read(self):
+        base = RoseBase(("a", "b"))
+        swap = {0: 1, 1: 0}
+        for actions in ({"a": swap}, {"a": swap, "b": swap, "c": swap}):
+            with pytest.raises(ValueError, match="one action per petal"):
+                MonodromySystem(base, [0, 1], actions)
+
 
 class TestOrbits:
     def test_identity_actions_give_singletons(self):
@@ -228,6 +236,56 @@ class TestDeckSearch:
                 for petal in sys.base.petals:
                     act = sys.actions[petal]
                     assert all(h[act[p]] == act[h[p]] for p in sys.fibre)
+
+    def test_matches_brute_force_centralizer(self):
+        def brute_force_centralizer(sys):
+            # every fibre bijection, kept if it commutes with every petal
+            # action; itertools yields them in the order deck_search sorts
+            found = []
+            for images in itertools.permutations(sys.fibre):
+                h = dict(zip(sys.fibre, images))
+                if all(h[act[p]] == act[h[p]]
+                       for act in sys.actions.values() for p in sys.fibre):
+                    found.append(h)
+            return found
+
+        def union(rng, blocks):
+            # disjoint union of the given actions of (a, b) on range(k),
+            # each moved onto fresh points; the fibre order is shuffled
+            fibre = list(range(sum(len(pa) for pa, _ in blocks)))
+            rng.shuffle(fibre)
+            actions = {"a": {}, "b": {}}
+            offset = 0
+            for pa, pb in blocks:
+                for x in range(len(pa)):
+                    actions["a"][offset + x] = offset + pa[x]
+                    actions["b"][offset + x] = offset + pb[x]
+                offset += len(pa)
+            return MonodromySystem(RoseBase(("a", "b")), fibre, actions)
+
+        def random_action(rng, k):
+            pa, pb = list(range(k)), list(range(k))
+            rng.shuffle(pa)
+            rng.shuffle(pb)
+            return pa, pb
+
+        rng = Random(20260808)
+        systems = []
+        for _ in range(6):
+            # isomorphic orbits: copies of one transitive action
+            k = rng.choice((2, 3))
+            cycle = [(x + 1) % k for x in range(k)]
+            _, pb = random_action(rng, k)
+            systems.append(union(rng, [(cycle, pb)] * (6 // k)))
+            # orbits of different sizes, hence not isomorphic
+            sizes = rng.choice(((1, 2, 3), (2, 4), (1, 5), (1, 1, 4)))
+            systems.append(union(rng, [random_action(rng, k) for k in sizes]))
+        systems.append(MonodromySystem(
+            RoseBase(("a",)), range(6), {"a": {x: x for x in range(6)}}
+        ))
+        assert all(len(orbit_partition(sys)) > 1 for sys in systems)
+        for sys in systems:
+            assert deck_search(sys) == brute_force_centralizer(sys)
 
 
 class TestTowers:

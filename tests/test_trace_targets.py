@@ -1,5 +1,5 @@
 """Every function the benchmark's traced run wraps still exists, and the
-`shift` counts it pins still hold.
+`covers` and `shift` counts it pins still hold.
 
 ``perfbench/layers.py`` names its trace targets by module and attribute; a
 refactor that renames or drops one, or breaks a binding or call the
@@ -13,7 +13,7 @@ import pathlib
 
 import pytest
 
-from liftlab import amalgam, experiments, hawaiian, lifting, profinite, symdyn
+from liftlab import amalgam, covers, experiments, hawaiian, lifting, profinite, symdyn
 
 LAYERS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
@@ -82,3 +82,55 @@ def test_shift_workload_counters(monkeypatch):
     monkeypatch.setattr(symdyn, "equicontinuity_modulus", observed)
     experiments.run_tower_equicontinuity(10, 20, 20260808)
     assert calls["pairs_checked"] == 8_301
+
+
+def test_covers_workload_counters(monkeypatch):
+    # the counters that perfbench/layers.py pins for the covers workload:
+    # covers-obstruction at --max-degree 7, then the census (the centralizer
+    # of every class at degrees 2..7 and four full-cycle families)
+    calls = {"classes": 0, "full_cycle": 0, "compatible": 0, "decks": 0, "results": 0}
+
+    def yields(name, key):
+        generate = getattr(covers, name)
+
+        def wrapper(*args):
+            for rep in generate(*args):
+                calls[key] += 1
+                yield rep
+
+        monkeypatch.setattr(covers, name, wrapper)
+
+    yields("iter_connected_coverings", "classes")
+    yields("full_cycle_coverings", "full_cycle")
+    compatible, search = covers.cyclic_quotient_compatible, lifting.deck_search
+
+    def counted_compatible(*args):
+        calls["compatible"] += 1
+        return compatible(*args)
+
+    def counted_search(*args):
+        calls["decks"] += 1
+        found = search(*args)
+        calls["results"] += len(found)
+        return found
+
+    monkeypatch.setattr(covers, "cyclic_quotient_compatible", counted_compatible)
+    monkeypatch.setattr(lifting, "deck_search", counted_search)
+    status, _ = experiments.run_covers_obstruction(7)
+    assert status == "pass"
+    for d in range(2, 8):
+        for rep in covers.iter_connected_coverings(d):
+            lifting.deck_search(rep.as_system())
+            if covers.cyclic_quotient_compatible(rep, "a", 2):
+                covers.cyclic_quotient_compatible(rep, "b", 3)
+    for d, petal in ((2, "a"), (3, "b"), (4, "a"), (8, "a")):
+        other, base = ("b", 3) if petal == "a" else ("a", 2)
+        for rep in covers.full_cycle_coverings(d, petal):
+            covers.cyclic_quotient_compatible(rep, other, base)
+    assert calls == {
+        "classes": 9_840,
+        "full_cycle": 5_116,
+        "compatible": 14_980,
+        "decks": 4_920,
+        "results": 5_187,
+    }
