@@ -24,9 +24,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .lifting import MonodromySystem, RoseBase
+from .lifting import MonodromySystem
 
-FIGURE_EIGHT = ("a", "b")
+MAX_DEGREE = 12
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,6 @@ class CoveringPermutationRep:
 
     def as_system(self) -> MonodromySystem:
         return MonodromySystem(
-            RoseBase(FIGURE_EIGHT),
             range(self.degree),
             {"a": dict(enumerate(self.perm_a)), "b": dict(enumerate(self.perm_b))},
         )
@@ -145,9 +144,7 @@ def _resume(tables, d: int, state):
     return 0, (-1, label, order, x, k)
 
 
-def iter_connected_coverings(
-    degree: int, max_degree: int = 12
-) -> Iterator[CoveringPermutationRep]:
+def iter_connected_coverings(degree: int) -> Iterator[CoveringPermutationRep]:
     """Generate all degree-d connected covers, one per isomorphism class.
 
     Backtracking over partial permutation pairs in breadth-first slot order;
@@ -166,8 +163,8 @@ def iter_connected_coverings(
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    if degree > max_degree:
-        raise ValueError(f"degree {degree} exceeds the configured bound {max_degree}")
+    if degree > MAX_DEGREE:
+        raise ValueError(f"degree {degree} exceeds the bound {MAX_DEGREE}")
     d = degree
     tables = [[-1] * d for _ in range(_SLOTS_PER_POINT)]
 
@@ -214,12 +211,6 @@ def iter_connected_coverings(
         label[start] = 0
         starts.append((0, label, [start], 0, 0))
     yield from solve(0, 1, starts)
-
-
-def enumerate_connected_coverings(
-    degree: int, max_degree: int = 12
-) -> list[CoveringPermutationRep]:
-    return list(iter_connected_coverings(degree, max_degree))
 
 
 def full_cycle_coverings(degree: int, petal: str) -> Iterator[CoveringPermutationRep]:

@@ -20,8 +20,8 @@ from time import perf_counter
 from typing import Callable
 
 from . import amalgam, covers, hawaiian, lifting, symdyn
-from .profinite import TruncatedPadic, rigidity_witness
-from .reports import Report, frac_str
+from .profinite import GluePrecisionError, TruncatedPadic, rigidity_witness
+from .reports import Report
 
 
 class UsageError(ValueError):
@@ -148,7 +148,6 @@ def run_solenoid_lift(level: int, word: str, start: str):
     start_point = _find_fibre_point(sys, start)
     endpoint, crossed = lifting.lift_word_flagged(sys, letters, start_point)
     orbits = lifting.orbit_partition(sys)
-    degrees = [lifting.component_cover_degree(sys, orbit) for orbit in orbits]
 
     payload = {
         "word": word,
@@ -156,10 +155,7 @@ def run_solenoid_lift(level: int, word: str, start: str):
         "endpoint": str(endpoint),
         "crossed_truncation": crossed,
         "orbit_count": len(orbits),
-        "component_degrees": [
-            {"size": deg.value, "truncation_flagged": deg.truncation_flagged}
-            for deg in degrees
-        ],
+        "component_degrees": lifting.component_degrees(sys, orbits),
         "system": lifting.system_to_json(sys),
     }
     # the loop acts by +1 on Z/2^level, transitively
@@ -173,21 +169,29 @@ def run_solenoid_lift(level: int, word: str, start: str):
 
 
 def run_amalgam_rigidity(precision: int, words: int, depth: int, seed: int):
-    """``words`` residues, each doubled ``depth`` times."""
+    """``words`` residues, each doubled ``depth`` times.
+
+    Like 0, a residue whose normalized glue image vanishes at the certified
+    ternary precision is drawn again: at odd precision m that is 2^(m-1).
+    """
     rng = Random(seed)
 
     rows = []
     all_diverge = True
     for _ in range(words):
-        residue = rng.randrange(1, 2**precision)
-        a = TruncatedPadic(2, precision, residue)
-        report = rigidity_witness(a, depth)
+        while True:
+            a = TruncatedPadic(2, precision, rng.randrange(1, 2**precision))
+            try:
+                report = rigidity_witness(a, depth)
+                break
+            except GluePrecisionError:
+                continue
         all_diverge = all_diverge and report.diverges
         rows.append(
             {
                 "a": a.digits(),
                 "binary_valuations": [str(v) for v in report.u_valuations],
-                "ternary_step_distance": frac_str(report.expected_distance),
+                "ternary_step_distance": str(report.expected_distance),
                 "distances_constant": report.distances_constant,
                 "valuations_march": report.valuations_march,
                 "diverges": report.diverges,
@@ -242,7 +246,7 @@ def run_covers_obstruction(max_degree: int):
         if entry["admissible"]:
             admissible.append(d)
         if 2 <= d <= exhaustive_to:
-            reps = covers.enumerate_connected_coverings(d, max_degree=max_degree)
+            reps = list(covers.iter_connected_coverings(d))
             simultaneous = sum(
                 1
                 for rep in reps
@@ -375,7 +379,6 @@ def run_hawaiian_suite(circles: int, level: int, words: int, seed: int):
 def run_spiral_orbits(horizon: int):
     sys = lifting.spiral_system(horizon)
     orbits = lifting.orbit_partition(sys)
-    degrees = [lifting.component_cover_degree(sys, orbit) for orbit in orbits]
     spiral_orbit = max(orbits, key=len)
     closure = lifting.orbit_closure(sys, spiral_orbit)
     top_fixed = lifting.lift_word(sys, lifting.parse_loop_word("a"), "top") == "top"
@@ -389,10 +392,7 @@ def run_spiral_orbits(horizon: int):
     payload = {
         "truncation": horizon,
         "orbit_sizes": [len(o) for o in orbits],
-        "component_degrees": [
-            {"size": deg.value, "truncation_flagged": deg.truncation_flagged}
-            for deg in degrees
-        ],
+        "component_degrees": lifting.component_degrees(sys, orbits),
         "spiral_orbit_closure_adds": sorted(
             str(p) for p in set(closure) - set(spiral_orbit)
         ),
@@ -415,12 +415,12 @@ def run_rotation_density(horizon: int):
     )
     control_constant = len(set(control_gaps.values())) == 1
     payload = {
-        "alpha": frac_str(alpha),
+        "alpha": str(alpha),
         "orbit_sizes": checkpoints,
-        "max_gaps": {k: frac_str(v) for k, v in gaps.items()},
+        "max_gaps": {k: str(v) for k, v in gaps.items()},
         "max_gaps_float": {k: float(v) for k, v in gaps.items()},
         "control_alpha": "1/3",
-        "control_gaps": {k: frac_str(v) for k, v in control_gaps.items()},
+        "control_gaps": {k: str(v) for k, v in control_gaps.items()},
         "strictly_decreasing": decreasing,
         "control_constant": control_constant,
     }
@@ -532,12 +532,14 @@ SPECS: dict[str, Spec] = {
         "constant scale, so no nontrivial translation pair commutes "
         "with the glue.",
         {
-            "precision": Knob(int, 64, high=1024, why="each sample's row holds "
-                              "its precision binary digits"),
+            "precision": Knob(int, 64, low=2, high=1024, why="one binary digit "
+                              "certifies no residue's glue image, and each "
+                              "sample's row holds its precision binary digits"),
             "words": Knob(int, 50, high=1000, why="the report holds one row per "
                           "sample"),
-            "depth": Knob(int, 30, high=256, why="each row lists one valuation "
-                          "per doubling"),
+            "depth": Knob(int, 30, low=2, high=256, why="the witness compares "
+                          "consecutive doublings, and each row lists one "
+                          "valuation per doubling"),
         },
         seeded=True,
     ),
@@ -546,8 +548,9 @@ SPECS: dict[str, Spec] = {
         "glued-system-rigid",
         "Exhaustive translation-pair search over the glued double "
         "solenoid at this truncation finds only the identity symmetry.",
-        {"precision": Knob(int, 6, high=10, why="the pair search is quadratic in "
-                           "the fibre")},
+        {"precision": Knob(int, 6, low=2, high=10, why="the glued b-step needs "
+                           "two binary digits, and the pair search is quadratic "
+                           "in the fibre")},
     ),
     "covers-obstruction": Spec(
         run_covers_obstruction,

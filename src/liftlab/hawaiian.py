@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lifting import LoopWord, MonodromySystem, RoseBase, TowerModel, deck_search
+from .lifting import LoopWord, MonodromySystem, TowerModel, deck_search
 
 HLetter = tuple[int, int]
 HLetterWord = tuple[HLetter, ...]
@@ -183,8 +183,7 @@ def hn_level(level: int, circles: int) -> MonodromySystem:
             actions[petal_name(j)] = {eps: flip(level, eps, j) for eps in fibre}
         else:
             actions[petal_name(j)] = {eps: eps for eps in fibre}
-    base = RoseBase(tuple(petal_name(j) for j in range(1, circles + 1)))
-    return MonodromySystem(base, fibre, actions)
+    return MonodromySystem(fibre, actions)
 
 
 def hn_tower(circles: int) -> TowerModel:

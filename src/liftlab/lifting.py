@@ -1,10 +1,11 @@
 """Monodromy models of lifting dynamics over roses (wedges of circles).
 
 A lifting total space over a rose is represented purely by its monodromy:
-a finite fibre and one bijection per petal. Path lifting is then word
-evaluation, path components are orbits of the generated group, and deck
-transformations are fibre bijections commuting with every petal action.
-The total space is never materialized.
+a finite fibre and one bijection per petal, keyed by petal label; the rose
+is nothing more than those keys. Path lifting is then word evaluation,
+path components are orbits of the generated group, and deck transformations
+are fibre bijections commuting with every petal action. The total space is
+never materialized.
 
 Word evaluation is left to right: the first letter acts first, matching
 path concatenation.
@@ -27,19 +28,6 @@ from .profinite import TruncatedPadic, padic_distance
 
 class SearchBoundExceeded(RuntimeError):
     """An exhaustive search would exceed its configured bound."""
-
-
-@dataclass(frozen=True)
-class RoseBase:
-    """A wedge of circles, one petal label per circle."""
-
-    petals: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.petals:
-            raise ValueError("a rose needs at least one petal")
-        if len(set(self.petals)) != len(self.petals):
-            raise ValueError("petal labels must be distinct")
 
 
 LoopLetter = tuple[str, int]
@@ -74,21 +62,22 @@ def inverse_word(word: LoopWord) -> LoopWord:
 class MonodromySystem:
     """A finite fibre with one bijection per petal of the base rose.
 
-    ``metric``, when present, must be an exact rational function on fibre
-    pairs. ``clamped`` flags transitions (petal, point) that exist only to
-    close off a truncated infinite orbit. Systems are never mutated after
+    The petals are the keys of ``actions``, in insertion order. ``metric``,
+    when present, must be an exact rational function on fibre pairs.
+    ``clamped`` flags transitions (petal, point) that exist only to close
+    off a truncated infinite orbit. Systems are never mutated after
     construction, so they are safe to share across threads and searches.
     """
 
-    def __init__(self, base, fibre, actions, metric=None, clamped=frozenset()):
-        self.base = base
+    def __init__(self, fibre, actions, metric=None, clamped=frozenset()):
+        if not actions:
+            raise ValueError("a rose needs at least one petal")
+        self.petals = tuple(actions)
         self.fibre = tuple(fibre)
         self.index = {p: i for i, p in enumerate(self.fibre)}
         if len(self.index) != len(self.fibre):
             raise ValueError("fibre labels must be distinct")
-        if set(actions) != set(base.petals):
-            raise ValueError("need exactly one action per petal")
-        self.actions = {petal: dict(actions[petal]) for petal in base.petals}
+        self.actions = {petal: dict(act) for petal, act in actions.items()}
         points = set(self.fibre)
         for petal, act in self.actions.items():
             if act.keys() != points or set(act.values()) != points:
@@ -104,34 +93,16 @@ class MonodromySystem:
 
     def __repr__(self) -> str:
         return (
-            f"MonodromySystem(petals={list(self.base.petals)}, "
+            f"MonodromySystem(petals={list(self.petals)}, "
             f"fibre={len(self.fibre)} points)"
         )
 
-    def act(self, petal: str, point, exponent: int):
-        table = self.actions if exponent == 1 else self.inverse
-        return table[petal][point]
-
-    def is_clamped_step(self, petal: str, point, exponent: int) -> bool:
-        if exponent == 1:
-            return (petal, point) in self.clamped
-        return (petal, self.inverse[petal][point]) in self.clamped
-
-
-def lift_word(sys: MonodromySystem, word: LoopWord, start):
-    """Unique path lifting as monodromy evaluation, first letter first."""
-    if start not in sys.index:
-        raise ValueError(f"start point {start!r} is not in the fibre")
-    point = start
-    for label, exp in word:
-        if label not in sys.actions:
-            raise ValueError(f"unknown petal {label!r}")
-        point = sys.act(label, point, exp)
-    return point
-
 
 def lift_word_flagged(sys: MonodromySystem, word: LoopWord, start):
-    """Like ``lift_word`` but reports whether a truncation artifact was crossed."""
+    """Unique path lifting as monodromy evaluation, first letter first.
+
+    Returns the endpoint and whether the path crossed a truncation artifact.
+    """
     if start not in sys.index:
         raise ValueError(f"start point {start!r} is not in the fibre")
     point = start
@@ -139,14 +110,23 @@ def lift_word_flagged(sys: MonodromySystem, word: LoopWord, start):
     for label, exp in word:
         if label not in sys.actions:
             raise ValueError(f"unknown petal {label!r}")
-        crossed = crossed or sys.is_clamped_step(label, point, exp)
-        point = sys.act(label, point, exp)
+        if exp == 1:
+            crossed = crossed or (label, point) in sys.clamped
+            point = sys.actions[label][point]
+        else:
+            point = sys.inverse[label][point]
+            crossed = crossed or (label, point) in sys.clamped
     return point, crossed
+
+
+def lift_word(sys: MonodromySystem, word: LoopWord, start):
+    """The endpoint of the lift of ``word`` from ``start``."""
+    return lift_word_flagged(sys, word, start)[0]
 
 
 def _step_tables(sys: MonodromySystem) -> list[dict]:
     """Each petal's action and its inverse as point tables, petal by petal."""
-    return [table for petal in sys.base.petals
+    return [table for petal in sys.petals
             for table in (sys.actions[petal], sys.inverse[petal])]
 
 
@@ -178,23 +158,18 @@ def orbit_partition(sys: MonodromySystem) -> list[list]:
     return orbits
 
 
-@dataclass(frozen=True)
-class CoverDegree:
-    """Degree of the covering restricted to one path component.
+def component_degrees(sys: MonodromySystem, orbits: list[list]) -> list[dict]:
+    """Degree of the covering restricted to each path component.
 
     ``truncation_flagged`` is true when the orbit crosses a clamp artifact,
-    i.e. the genuine model's component is infinite and the number below is
-    only the truncated size.
+    i.e. the genuine model's component is infinite and ``size`` is only the
+    truncated one.
     """
-
-    value: int
-    truncation_flagged: bool
-
-
-def component_cover_degree(sys: MonodromySystem, orbit: list) -> CoverDegree:
-    members = set(orbit)
-    flagged = any(point in members for _petal, point in sys.clamped)
-    return CoverDegree(len(orbit), flagged)
+    clamped_points = {point for _petal, point in sys.clamped}
+    return [
+        {"size": len(orbit), "truncation_flagged": not clamped_points.isdisjoint(orbit)}
+        for orbit in orbits
+    ]
 
 
 def orbit_closure(sys: MonodromySystem, orbit: list) -> list:
@@ -243,8 +218,8 @@ class TowerModel:
     def __post_init__(self) -> None:
         if not self.levels:
             raise ValueError("a tower needs at least one level")
-        petals = self.levels[0].base.petals
-        if any(lv.base.petals != petals for lv in self.levels):
+        petals = self.levels[0].petals
+        if any(lv.petals != petals for lv in self.levels):
             raise ValueError("all levels must share the base rose")
         if len(self.bonds) != len(self.levels) - 1:
             raise ValueError(
@@ -271,7 +246,7 @@ def tower_strictness_check(tower: TowerModel) -> StrictnessVerdict:
             violations.append(f"bond {i}: not onto the level-{i + 1} fibre")
             if not image <= set(lower.fibre):
                 continue
-        for petal in upper.base.petals:
+        for petal in upper.petals:
             for p in upper.fibre:
                 if bond[upper.actions[petal][p]] != lower.actions[petal][bond[p]]:
                     violations.append(
@@ -371,7 +346,6 @@ def solenoid_level(base: int, level: int) -> MonodromySystem:
         return d.bound
 
     return MonodromySystem(
-        RoseBase(("a",)),
         range(m),
         {"a": {x: (x + 1) % m for x in range(m)}},
         metric=metric,
@@ -414,7 +388,6 @@ def spiral_system(truncation: int) -> MonodromySystem:
     action["bot"] = "bot"
     action["top"] = "top"
     return MonodromySystem(
-        RoseBase(("a",)),
         fibre,
         {"a": action},
         metric=lambda p, q: abs(embed(p) - embed(q)),
@@ -425,13 +398,12 @@ def spiral_system(truncation: int) -> MonodromySystem:
 def random_permutation_system(seed: int, fibre_size: int) -> MonodromySystem:
     rng = Random(seed)
     points = list(range(fibre_size))
-    petals = ("a", "b")
     actions = {}
-    for petal in petals:
+    for petal in ("a", "b"):
         perm = points[:]
         rng.shuffle(perm)
         actions[petal] = dict(zip(points, perm))
-    return MonodromySystem(RoseBase(petals), points, actions)
+    return MonodromySystem(points, actions)
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +435,11 @@ def system_to_json(sys: MonodromySystem) -> dict:
     """Schema: petals, fibre labels, actions and clamps as fibre indices."""
     return {
         "kind": "monodromy-system",
-        "petals": list(sys.base.petals),
+        "petals": list(sys.petals),
         "fibre": list(sys.fibre),
         "actions": {
             petal: [sys.index[sys.actions[petal][p]] for p in sys.fibre]
-            for petal in sys.base.petals
+            for petal in sys.petals
         },
         "clamped": sorted(
             [petal, sys.index[p]] for petal, p in sys.clamped

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 SCHEMA = "liftlab-report/1"
 
@@ -44,11 +43,6 @@ class Report:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-
-def frac_str(value: Fraction) -> str:
-    """Canonical "p/q" (or integer) string for an exact rational."""
-    return str(value)
 
 
 def comparison_region(report_json: str) -> dict:

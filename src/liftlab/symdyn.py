@@ -26,13 +26,7 @@ from functools import lru_cache
 from math import gcd
 from random import Random
 
-from .lifting import (
-    MonodromySystem,
-    RoseBase,
-    TowerModel,
-    orbit_partition,
-    tower_strictness_check,
-)
+from .lifting import MonodromySystem, TowerModel, orbit_partition, tower_strictness_check
 from .ultrametric import Distance, bounded_distance, exact_distance
 
 
@@ -43,34 +37,24 @@ class WindowError(ValueError):
 # ---------------------------------------------------------------------------
 # word generators
 
-MT_RULES = {"0": "01", "1": "10"}
-
+_SUBSTITUTE = str.maketrans({"0": "01", "1": "10"})
 _SWAP = str.maketrans("01", "10")
 _DROP_BITS = str.maketrans("", "", "01")
 
 
-def complement(word: str) -> str:
-    return word.translate(_SWAP)
-
-
-def apply_substitution(rules: dict[str, str], seed: str, n: int) -> str:
-    """Apply a letter substitution n times to the seed word."""
-    word = seed
-    for _ in range(n):
-        word = word.translate(str.maketrans(rules))
-    return word
-
-
 def mt_substitution(n: int) -> str:
     """n-fold substitution 0 -> 01, 1 -> 10 on the seed "0"; length 2^n."""
-    return apply_substitution(MT_RULES, "0", n)
+    word = "0"
+    for _ in range(n):
+        word = word.translate(_SUBSTITUTE)
+    return word
 
 
 def mt_doubling(n: int) -> str:
     """Doubling construction: a_{k+1} = a_k followed by its complement."""
     word = "0"
     for _ in range(n):
-        word += complement(word)
+        word += word.translate(_SWAP)
     return word
 
 
@@ -158,24 +142,19 @@ def word_metric(x: CentralWord, y: CentralWord) -> Distance:
 # factor language
 
 
-@dataclass(frozen=True)
-class SubshiftSample:
-    """The set of length-L factors of a finite sample of a subshift."""
-
-    length: int
-    factors: frozenset[str]
-
-
-def factor_language(word: str, length: int) -> SubshiftSample:
-    """All length-L contiguous subwords of the word."""
-    if length < 1 or length > len(word):
-        raise ValueError(f"factor length {length} outside [1, {len(word)}]")
-    factors = {word[i : i + length] for i in range(len(word) - length + 1)}
-    return SubshiftSample(length, frozenset(factors))
-
-
 def factor_counts(word: str, lengths: range) -> dict[int, int]:
-    return {L: len(factor_language(word, L).factors) for L in lengths}
+    """Number of distinct length-L contiguous subwords, for each L in lengths.
+
+    One pass: with M the longest length, every length-L factor is the
+    length-L prefix of a length-M factor or of a suffix shorter than M, and
+    ``word[i : i + M]`` is one or the other at every position i.
+    """
+    for length in lengths:
+        if length < 1 or length > len(word):
+            raise ValueError(f"factor length {length} outside [1, {len(word)}]")
+    longest = max(lengths, default=0)
+    pieces = {word[i : i + longest] for i in range(len(word))}
+    return {L: len({p[:L] for p in pieces if len(p) >= L}) for L in lengths}
 
 
 def aperiodicity_check(word: str, max_period: int) -> int | None:
@@ -322,8 +301,6 @@ def non_equicontinuity_witness(
 # A finite shift system is a one-petal monodromy system: the petal's
 # permutation of the fibre is the step.
 
-_CIRCLE = RoseBase(("a",))
-
 
 def kernel_of_action(step: dict) -> int:
     """Index of the action kernel: the least n >= 1 with step^n = identity."""
@@ -428,9 +405,7 @@ def random_strict_tower(seed: int) -> StrictTower:
     base_points = list(range(size))
     perm = base_points[:]
     rng.shuffle(perm)
-    levels = [
-        MonodromySystem(_CIRCLE, base_points, {"a": dict(zip(base_points, perm))})
-    ]
+    levels = [MonodromySystem(base_points, {"a": dict(zip(base_points, perm))})]
     bonds = []
     for _ in range(3):
         lower = levels[-1]
@@ -447,5 +422,5 @@ def random_strict_tower(seed: int) -> StrictTower:
             for i, j in enumerate(matching):
                 step[(p, i)] = (image, j)
         bonds.append({pt: pt[0] for pt in points})
-        levels.append(MonodromySystem(_CIRCLE, points, {"a": step}))
+        levels.append(MonodromySystem(points, {"a": step}))
     return StrictTower(levels, bonds)

@@ -1,30 +1,6 @@
-"""Shared test helpers: acceptance criterion recording with wall-time budgets."""
+"""Prints the acceptance criterion lines that ``criteria.criterion`` records."""
 
-from contextlib import contextmanager
-from time import perf_counter
-
-ACCEPTANCE_LINES: list[str] = []
-
-
-@contextmanager
-def criterion(number: int, name: str, budget_s: float):
-    """Time a criterion body, record one pass/fail line, enforce the budget."""
-    start = perf_counter()
-    try:
-        yield
-    except BaseException:
-        elapsed = perf_counter() - start
-        ACCEPTANCE_LINES.append(
-            f"criterion {number:02d} {name}: FAIL ({elapsed:.2f}s)"
-        )
-        raise
-    elapsed = perf_counter() - start
-    ok = elapsed < budget_s
-    ACCEPTANCE_LINES.append(
-        f"criterion {number:02d} {name}: {'PASS' if ok else 'FAIL (over budget)'} "
-        f"({elapsed:.2f}s / budget {budget_s:g}s)"
-    )
-    assert ok, f"criterion {number} ran {elapsed:.2f}s, budget {budget_s}s"
+from criteria import ACCEPTANCE_LINES
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

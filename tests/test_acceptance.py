@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from random import Random
 
-from conftest import criterion
+from criteria import criterion
 
 from liftlab import amalgam, covers, hawaiian, lifting, symdyn
 from liftlab.profinite import (
@@ -276,7 +276,7 @@ def test_c12_lifting_functoriality():
         checked = 0
         while checked < 1000:
             for sys_model in systems():
-                petals = sys_model.base.petals
+                petals = sys_model.petals
                 w1 = tuple(
                     (rng.choice(petals), rng.choice((1, -1)))
                     for _ in range(rng.randint(0, 10))

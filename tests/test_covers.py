@@ -7,10 +7,10 @@ from math import factorial
 import pytest
 
 from liftlab.covers import (
+    MAX_DEGREE,
     CoveringPermutationRep,
     cycle_lengths,
     cyclic_quotient_compatible,
-    enumerate_connected_coverings,
     factorization_obstruction,
     full_cycle_coverings,
     is_power,
@@ -127,17 +127,17 @@ class TestObstruction:
 
 class TestEnumeration:
     def test_degree_one(self):
-        assert enumerate_connected_coverings(1) == [
+        assert list(iter_connected_coverings(1)) == [
             CoveringPermutationRep(1, (0,), (0,))
         ]
 
     def test_degree_two_has_three_classes(self):
-        assert len(enumerate_connected_coverings(2)) == 3
+        assert len(list(iter_connected_coverings(2))) == 3
 
     def test_matches_brute_force_to_degree_four(self):
         for d in range(1, 5):
             brute = brute_force_classes(d)
-            enumerated = enumerate_connected_coverings(d)
+            enumerated = list(iter_connected_coverings(d))
             assert len(enumerated) == len(brute)
             assert {
                 canonical_form(rep.perm_a, rep.perm_b) for rep in enumerated
@@ -145,12 +145,12 @@ class TestEnumeration:
 
     def test_every_rep_is_transitive(self):
         for d in range(1, 7):
-            for rep in enumerate_connected_coverings(d):
+            for rep in iter_connected_coverings(d):
                 assert oracle_transitive(rep.perm_a, rep.perm_b)
 
     def test_no_duplicate_classes(self):
         for d in range(2, 6):
-            reps = enumerate_connected_coverings(d)
+            reps = list(iter_connected_coverings(d))
             forms = {canonical_form(rep.perm_a, rep.perm_b) for rep in reps}
             assert len(forms) == len(reps)
 
@@ -160,7 +160,7 @@ class TestEnumeration:
         # minima would be duplicate classes
         expected = {2: 3, 3: 7, 4: 26, 5: 97, 6: 624, 7: 4163}
         for d, count in expected.items():
-            reps = enumerate_connected_coverings(d)
+            reps = list(iter_connected_coverings(d))
             assert len(reps) == count
             minima = set()
             for rep in reps:
@@ -183,7 +183,7 @@ class TestEnumeration:
         counts = hall_subgroup_counts(6)
         for d in range(1, 7):
             total = 0
-            for rep in enumerate_connected_coverings(d):
+            for rep in iter_connected_coverings(d):
                 centralizer = len(deck_search(rep.as_system()))
                 total += factorial(d) // centralizer
             assert total == counts[d] * factorial(d - 1)
@@ -208,9 +208,7 @@ class TestEnumeration:
 
     def test_degree_bound_enforced(self):
         with pytest.raises(ValueError):
-            enumerate_connected_coverings(13)
-        with pytest.raises(ValueError):
-            enumerate_connected_coverings(7, max_degree=6)
+            list(iter_connected_coverings(MAX_DEGREE + 1))
 
 
 class TestFullCycleFamily:
@@ -219,7 +217,7 @@ class TestFullCycleFamily:
             constrained = list(full_cycle_coverings(d, "a"))
             from_exhaustive = [
                 rep
-                for rep in enumerate_connected_coverings(d)
+                for rep in iter_connected_coverings(d)
                 if cycle_lengths(rep.perm_a) == [d]
             ]
             assert len(constrained) == len(from_exhaustive)

@@ -35,7 +35,6 @@ from liftlab.hawaiian import (
 )
 from liftlab.lifting import (
     MonodromySystem,
-    RoseBase,
     deck_search,
     lift_word,
     tower_strictness_check,
@@ -252,7 +251,6 @@ class TestFactorizationCriterion:
         # an elementary abelian action that is not a squaring-tower level
         fibre = all_sign_vectors(2)
         sys = MonodromySystem(
-            RoseBase(("a1", "a2", "a3")),
             fibre,
             {
                 "a1": {eps: flip(2, eps, 1) for eps in fibre},

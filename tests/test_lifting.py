@@ -12,10 +12,9 @@ import pytest
 from liftlab.lifting import (
     MAX_WORD_LETTERS,
     MonodromySystem,
-    RoseBase,
     SearchBoundExceeded,
     TowerModel,
-    component_cover_degree,
+    component_degrees,
     deck_search,
     golden_ratio_64bit,
     inverse_word,
@@ -107,7 +106,7 @@ class TestLifting:
         checked = 0
         while checked < 300:
             for sys in sample_systems(rng):
-                petals = sys.base.petals
+                petals = sys.petals
                 w1, w2 = random_word(rng, petals), random_word(rng, petals)
                 start = sys.fibre[rng.randrange(len(sys.fibre))]
                 assert lift_word(sys, w1 + w2, start) == lift_word(
@@ -116,19 +115,18 @@ class TestLifting:
                 assert lift_word(sys, w1 + inverse_word(w1), start) == start
                 checked += 1
 
-    def test_petal_set_checked_before_actions_are_read(self):
-        base = RoseBase(("a", "b"))
+    def test_petals_are_the_action_keys(self):
         swap = {0: 1, 1: 0}
-        for actions in ({"a": swap}, {"a": swap, "b": swap, "c": swap}):
-            with pytest.raises(ValueError, match="one action per petal"):
-                MonodromySystem(base, [0, 1], actions)
+        sys = MonodromySystem([0, 1], {"b": swap, "a": swap})
+        assert sys.petals == ("b", "a")
+        assert lift_word(sys, parse_loop_word("a b^-1 a"), 0) == 1
+        with pytest.raises(ValueError, match="at least one petal"):
+            MonodromySystem([0, 1], {})
 
 
 class TestOrbits:
     def test_identity_actions_give_singletons(self):
-        sys = MonodromySystem(
-            RoseBase(("a",)), range(4), {"a": {x: x for x in range(4)}}
-        )
+        sys = MonodromySystem(range(4), {"a": {x: x for x in range(4)}})
         assert orbit_partition(sys) == [[0], [1], [2], [3]]
 
     def test_solenoid_is_transitive(self):
@@ -145,7 +143,6 @@ class TestOrbits:
         sys = random_permutation_system(17, 9)
         relabel = dict(zip(sys.fibre, rng.sample(range(100, 109), 9)))
         conj = MonodromySystem(
-            sys.base,
             [relabel[p] for p in sys.fibre],
             {
                 petal: {relabel[p]: relabel[q] for p, q in act.items()}
@@ -159,18 +156,18 @@ class TestOrbits:
     def test_cover_degree_flags(self):
         sys = spiral_system(5)
         orbits = orbit_partition(sys)
-        big = max(orbits, key=len)
-        deg = component_cover_degree(sys, big)
-        assert deg.value == 11 and deg.truncation_flagged
-        fixed = min(orbits, key=len)
-        assert component_cover_degree(sys, fixed) == component_cover_degree(
-            sys, fixed
-        )
-        assert not component_cover_degree(sys, fixed).truncation_flagged
+        degrees = component_degrees(sys, orbits)
+        assert [deg["size"] for deg in degrees] == [len(o) for o in orbits]
+        for orbit, deg in zip(orbits, degrees):
+            # only the traversing orbit crosses the clamped wrap step 5 -> -5
+            assert deg["truncation_flagged"] == (len(orbit) == 11)
+        assert sorted(deg["size"] for deg in degrees) == [1, 1, 11]
+        assert component_degrees(solenoid_level(2, 3), [[0, 1]]) == [
+            {"size": 2, "truncation_flagged": False}
+        ]
 
     def test_closure_discrete_metric_is_orbit(self):
         sys = MonodromySystem(
-            RoseBase(("a",)),
             range(4),
             {"a": {0: 1, 1: 0, 2: 3, 3: 2}},
             metric=lambda p, q: Fraction(0) if p == q else Fraction(1),
@@ -207,15 +204,11 @@ class TestDeckSearch:
                 assert all(h[x] == (x + s) % m for x in range(m))
 
     def test_trivial_action_gives_all_bijections(self):
-        sys = MonodromySystem(
-            RoseBase(("a",)), range(3), {"a": {x: x for x in range(3)}}
-        )
+        sys = MonodromySystem(range(3), {"a": {x: x for x in range(3)}})
         assert len(deck_search(sys)) == 6
 
     def test_bound_exceeded(self):
-        sys = MonodromySystem(
-            RoseBase(("a",)), range(8), {"a": {x: x for x in range(8)}}
-        )
+        sys = MonodromySystem(range(8), {"a": {x: x for x in range(8)}})
         with pytest.raises(SearchBoundExceeded):
             deck_search(sys, max_results=100)
 
@@ -233,7 +226,7 @@ class TestDeckSearch:
                 for g in decks:
                     composed = {p: h[g[p]] for p in sys.fibre}
                     assert tuple(sorted(composed.items())) in keys
-                for petal in sys.base.petals:
+                for petal in sys.petals:
                     act = sys.actions[petal]
                     assert all(h[act[p]] == act[h[p]] for p in sys.fibre)
 
@@ -261,7 +254,7 @@ class TestDeckSearch:
                     actions["a"][offset + x] = offset + pa[x]
                     actions["b"][offset + x] = offset + pb[x]
                 offset += len(pa)
-            return MonodromySystem(RoseBase(("a", "b")), fibre, actions)
+            return MonodromySystem(fibre, actions)
 
         def random_action(rng, k):
             pa, pb = list(range(k)), list(range(k))
@@ -280,9 +273,7 @@ class TestDeckSearch:
             # orbits of different sizes, hence not isomorphic
             sizes = rng.choice(((1, 2, 3), (2, 4), (1, 5), (1, 1, 4)))
             systems.append(union(rng, [random_action(rng, k) for k in sizes]))
-        systems.append(MonodromySystem(
-            RoseBase(("a",)), range(6), {"a": {x: x for x in range(6)}}
-        ))
+        systems.append(MonodromySystem(range(6), {"a": {x: x for x in range(6)}}))
         assert all(len(orbit_partition(sys)) > 1 for sys in systems)
         for sys in systems:
             assert deck_search(sys) == brute_force_centralizer(sys)
@@ -317,7 +308,7 @@ class TestTowers:
             n = rng.randint(0, len(tower.levels) - 2)
             upper, lower = tower.levels[n + 1], tower.levels[n]
             bond = tower.bonds[n]
-            word = random_word(rng, upper.base.petals)
+            word = random_word(rng, upper.petals)
             start = upper.fibre[rng.randrange(len(upper.fibre))]
             assert bond[lift_word(upper, word, start)] == lift_word(
                 lower, word, bond[start]

@@ -154,6 +154,26 @@ class TestResourceBounds:
         with pytest.raises(UsageError, match="is supported up to"):
             run(ExperimentConfig(experiment=experiment, seed=seed, **{knob: high + 1}))
 
+    @pytest.mark.parametrize("experiment, knob", [
+        ("amalgam-deck", "precision"),
+        ("amalgam-rigidity", "precision"),
+        ("amalgam-rigidity", "depth"),
+    ])
+    def test_library_floor_is_declared(self, experiment, knob):
+        # the model and the witness refuse 1; the spec says so first, by flag
+        seeded = SPECS[experiment].seeded
+        argv = ["--experiment", experiment, flag(knob), "1"] + ["--seed", "1"] * seeded
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith(f"error: {flag(knob)} must be >= 2: ")
+        assert err.getvalue().count("\n") == 1
+        epilog = build_parser().epilog.splitlines()
+        options = epilog[epilog.index(f"  {experiment}{'*' * seeded}") + 1:]
+        line = next(line for line in options if line.split()[0] == flag(knob))
+        assert "at least 2" in line
+
 
 class TestHonestVerdicts:
     def test_amalgam_deck_cross_check_gates_verdict(self, monkeypatch):
@@ -162,6 +182,17 @@ class TestHonestVerdicts:
         report = run(ExperimentConfig(experiment="amalgam-deck", precision=2))
         assert report.payload["identity_only"]
         assert report.verdict == "fail"
+
+    def test_amalgam_rigidity_redraws_the_uncertifiable_residue(self):
+        # at odd precision m the normalized glue image of 2^(m-1) vanishes at
+        # the certified ternary precision; like 0, it is drawn again
+        for m in (3, 5, 7, 9):
+            top = "0" * (m - 1) + "1"  # 2^(m-1), least significant digit first
+            for seed in range(30):
+                report = run(ExperimentConfig(
+                    experiment="amalgam-rigidity", seed=seed, precision=m, depth=2))
+                assert report.verdict == "pass"
+                assert all(row["a"] != top for row in report.payload["samples"])
 
     @pytest.mark.parametrize("fault", ["endpoint", "crossed", "orbits"])
     def test_solenoid_lift_verdict_from_claim(self, monkeypatch, fault):

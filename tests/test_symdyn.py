@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from liftlab.hawaiian import hn_tower
 from liftlab.lifting import (
     MonodromySystem,
-    RoseBase,
     TowerModel,
     solenoid_level,
     solenoid_tower,
@@ -23,10 +22,8 @@ from liftlab.symdyn import (
     StrictTower,
     WindowError,
     aperiodicity_check,
-    apply_substitution,
     equicontinuity_modulus,
     factor_counts,
-    factor_language,
     kernel_of_action,
     max_recurrence_gap,
     mt_doubling,
@@ -66,11 +63,6 @@ class TestGenerators:
         for n in range(13):
             sub = mt_substitution(n)
             assert sub == mt_doubling(n) == oracle_thue_morse(len(sub))
-
-    def test_generic_substitution_engine(self):
-        # period-doubling substitution as a second 2-letter system
-        word = apply_substitution({"0": "01", "1": "00"}, "0", 5)
-        assert len(word) == 32 and set(word) <= {"0", "1"}
 
     def test_prefix_slices(self):
         assert mt_prefix(10) == oracle_thue_morse(10)
@@ -174,11 +166,16 @@ class TestWindows:
         )
 
 
+def oracle_factors(word: str, length: int) -> set[str]:
+    """Every length-L contiguous subword, sliced at every position."""
+    return {word[i : i + length] for i in range(len(word) - length + 1)}
+
+
 class TestFactorLanguage:
     def test_tiny_alphabet_counts(self):
-        assert factor_language(mt_prefix(4), 1).factors == {"0", "1"}
-        sample = factor_language(mt_prefix(4096), 2)
-        assert sample.factors == {"00", "01", "10", "11"}
+        assert factor_counts(mt_prefix(4), range(1, 2)) == {1: 2}
+        assert factor_counts(mt_prefix(4096), range(2, 3)) == {2: 4}
+        assert factor_counts("0", range(1, 2)) == {1: 1}
 
     def test_counts_from_enumeration_oracle(self):
         word = mt_prefix(2**16)
@@ -190,30 +187,50 @@ class TestFactorLanguage:
         assert factor_counts(word, range(1, 7)) == oracle
 
     def test_no_cubes_of_letters(self):
-        sample = factor_language(mt_prefix(4096), 3)
-        assert len(sample.factors) == 6
-        assert "000" not in sample.factors and "111" not in sample.factors
+        word = mt_prefix(4096)
+        assert factor_counts(word, range(3, 4)) == {3: 6}
+        assert "000" not in word and "111" not in word
 
     def test_factor_closure_to_16(self):
         word = mt_prefix(2**14)
+        counts = factor_counts(word, range(1, 17))
         for L in range(2, 17):
-            level = factor_language(word, L).factors
-            below = factor_language(word, L - 1).factors
+            level = oracle_factors(word, L)
+            below = oracle_factors(word, L - 1)
             derived = {f[:-1] for f in level} | {f[1:] for f in level}
             assert derived == below
+            assert (counts[L], counts[L - 1]) == (len(level), len(below))
 
     def test_length_error(self):
-        with pytest.raises(ValueError):
-            factor_language("0101", 5)
+        for lengths in (range(5, 6), range(3, 6), range(0, 2)):
+            with pytest.raises(ValueError, match="outside"):
+                factor_counts("0101", lengths)
+
+    def test_matches_set_oracle_on_random_words(self):
+        # every length range inside [1, n]; a factor that occurs only at the
+        # end of the word is counted only through the short tail suffixes
+        rng = Random(20260808)
+        for n in range(1, 41):
+            word = "".join(rng.choice("01") for _ in range(n))
+            oracle = {L: len(oracle_factors(word, L)) for L in range(1, n + 1)}
+            for lo in range(1, n + 1):
+                for hi in range(lo, n + 1):
+                    lengths = range(lo, hi + 1)
+                    assert factor_counts(word, lengths) == {
+                        L: oracle[L] for L in lengths
+                    }, (word, lengths)
 
     def test_omega0_window_language_computed_directly(self):
         # language of the doubled sequence is computed, not assumed equal to
         # the one-sided language; at short lengths the two coincide here
         window = omega0(2**12)
         for L in range(1, 7):
-            assert factor_language(window.symbols, L).factors == factor_language(
+            assert oracle_factors(window.symbols, L) == oracle_factors(
                 mt_prefix(2**13), L
-            ).factors
+            )
+        assert factor_counts(window.symbols, range(1, 7)) == factor_counts(
+            mt_prefix(2**13), range(1, 7)
+        )
 
 
 class TestAperiodicityRecurrence:
@@ -293,7 +310,7 @@ class TestFiniteZSystems:
 
     def test_step_must_be_bijection(self):
         with pytest.raises(ValueError):
-            MonodromySystem(RoseBase(("a",)), [0, 1, 2], {"a": {0: 1, 1: 1, 2: 0}})
+            MonodromySystem([0, 1, 2], {"a": {0: 1, 1: 1, 2: 0}})
 
     def test_kernel_examples(self):
         assert kernel_of_action({0: 0, 1: 1}) == 1
@@ -367,11 +384,8 @@ class TestStrictTowers:
 
     def test_modulus_detects_a_broken_bond_past_the_first_member(self):
         # Z/6 over Z/2 by reduction mod 2: fibres {0, 2, 4} and {1, 3, 5}
-        circle = RoseBase(("a",))
-        lower = MonodromySystem(circle, [0, 1], {"a": {0: 1, 1: 0}})
-        upper = MonodromySystem(
-            circle, list(range(6)), {"a": {p: (p + 1) % 6 for p in range(6)}}
-        )
+        lower = MonodromySystem([0, 1], {"a": {0: 1, 1: 0}})
+        upper = MonodromySystem(list(range(6)), {"a": {p: (p + 1) % 6 for p in range(6)}})
         tower = StrictTower([lower, upper], [{p: p % 2 for p in range(6)}])
         assert equicontinuity_modulus(tower)[0]["pairs_checked"] == 18
         # moving 4 into the fibre over 1 puts it after 1 and 3 there, so the
@@ -388,7 +402,7 @@ class TestStrictTowers:
         squaring = hn_tower(3)
         for petal, powers in (("a1", [2, 2, 2]), ("a3", [1, 2, 2])):
             levels = [
-                MonodromySystem(RoseBase(("a",)), lv.fibre, {"a": lv.actions[petal]})
+                MonodromySystem(lv.fibre, {"a": lv.actions[petal]})
                 for lv in squaring.levels
             ]
             table = equicontinuity_modulus(StrictTower(levels, squaring.bonds))
