@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .lifting import MonodromySystem
+from .lifting import MonodromySystem, cycle_lengths
 
 MAX_DEGREE = 12
 
@@ -49,22 +49,6 @@ class CoveringPermutationRep:
             range(self.degree),
             {"a": dict(enumerate(self.perm_a)), "b": dict(enumerate(self.perm_b))},
         )
-
-
-def cycle_lengths(perm: tuple[int, ...]) -> list[int]:
-    seen = [False] * len(perm)
-    out = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = perm[x]
-            length += 1
-        out.append(length)
-    return sorted(out)
 
 
 def is_power(value: int, base: int) -> bool:
@@ -96,7 +80,7 @@ def cyclic_quotient_compatible(
     """
     if not is_power(rep.degree, base):
         return False
-    return any(length == rep.degree for length in cycle_lengths(rep.perm(petal)))
+    return rep.degree in cycle_lengths(dict(enumerate(rep.perm(petal))))
 
 
 # ---------------------------------------------------------------------------

@@ -336,14 +336,14 @@ def run_hawaiian_suite(circles: int, level: int, words: int, seed: int):
             kernel_agreements += 1
 
     tower = hawaiian.hn_tower(level)
-    verdict_strict = lifting.tower_strictness_check(tower)
+    violations = lifting.tower_strictness_check(tower)
     commute_ok = True
     for _ in range(100 if level >= 2 else 0):
         n = rng.randint(1, level - 1)
         upper, lower = tower.levels[n], tower.levels[n - 1]
         bond = tower.bonds[n - 1]
         word = tuple(
-            (hawaiian.petal_name(rng.randint(1, level)), rng.choice((1, -1)))
+            (rng.randint(1, level), rng.choice((1, -1)))
             for _ in range(rng.randint(0, 8))
         )
         start = upper.fibre[rng.randrange(len(upper.fibre))]
@@ -358,7 +358,7 @@ def run_hawaiian_suite(circles: int, level: int, words: int, seed: int):
     ok = (
         ok
         and kernel_agreements == words
-        and verdict_strict.ok
+        and not violations
         and commute_ok
         and disconnect_demo
     )
@@ -366,7 +366,7 @@ def run_hawaiian_suite(circles: int, level: int, words: int, seed: int):
         "circles": circles,
         "levels": per_level,
         "kernel_words": {"sampled": words, "agreed": kernel_agreements},
-        "tower_strict": verdict_strict.ok,
+        "tower_strict": not violations,
         "lift_bond_commutes": commute_ok,
         "dropping_a_circle_disconnects": disconnect_demo,
         "graph_level_2": hawaiian.hn_graph_to_json(

@@ -3,9 +3,10 @@
 The base is the union of N shrinking circles through one point, truncated
 to finitely many circles. Level n of the tower doubles the first n circles:
 its fibre is the sign vectors {+-1}^n, circle j <= n flips coordinate j,
-and circles beyond n act trivially. Lifting a loop word therefore only sees
-the per-letter parity, which is the boundary map into (Z/2)^n computed by
-``parity_boundary``.
+and circles beyond n act trivially. Words are ``lifting.LoopWord``s whose
+petals are the circle numbers 1..N, the petals of ``hn_level``. Lifting a
+word therefore only sees the per-letter parity, which is the boundary map
+into (Z/2)^n computed by ``parity_boundary``.
 
 Graphs, connectivity, the deck group (coordinatewise sign multiplications)
 and the kernel characterizations are all exact finite checks at level n;
@@ -22,9 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lifting import LoopWord, MonodromySystem, TowerModel, deck_search
-
-HLetter = tuple[int, int]
-HLetterWord = tuple[HLetter, ...]
 
 SignVector = int
 ALL_PLUS: SignVector = 0  # + at every coordinate: the base point of every level
@@ -48,7 +46,7 @@ def random_sign_vector(rng, level: int) -> SignVector:
     return sum(_bit(level, j) for j, s in enumerate(signs, 1) if s == -1)
 
 
-def parity_boundary(word: HLetterWord, level: int) -> SignVector:
+def parity_boundary(word: LoopWord, level: int) -> SignVector:
     """Per-circle signed letter count mod 2, for circles 1..level."""
     parity = 0
     for index, _exp in word:
@@ -57,7 +55,7 @@ def parity_boundary(word: HLetterWord, level: int) -> SignVector:
     return parity
 
 
-def lift_word_hn(level: int, word: HLetterWord, start: SignVector) -> SignVector:
+def lift_word_hn(level: int, word: LoopWord, start: SignVector) -> SignVector:
     """Endpoint of the lift: coordinate j flips once per odd letter count."""
     if not 0 <= start < 2**level:
         raise ValueError(f"start must be a sign vector in range(2**{level})")
@@ -66,7 +64,7 @@ def lift_word_hn(level: int, word: HLetterWord, start: SignVector) -> SignVector
 
 def connect_fibre_points(
     level: int, source: SignVector, target: SignVector
-) -> HLetterWord:
+) -> LoopWord:
     """A word lifting source to target: one letter per differing coordinate.
 
     Constructive proof that the boundary map onto (Z/2)^level is surjective.
@@ -78,7 +76,7 @@ def connect_fibre_points(
     )
 
 
-def kernel_check(word: HLetterWord, level: int) -> bool:
+def kernel_check(word: LoopWord, level: int) -> bool:
     """Zero boundary iff the lift fixes every start; both computed, compared."""
     parity_trivial = parity_boundary(word, level) == 0
     lift_trivial = all(
@@ -164,14 +162,6 @@ def hn_graph_to_json(graph: HnGraph) -> dict:
 # monodromy systems and the tower
 
 
-def petal_name(circle: int) -> str:
-    return f"a{circle}"
-
-
-def h_word_to_loop_word(word: HLetterWord) -> LoopWord:
-    return tuple((petal_name(j), exp) for j, exp in word)
-
-
 def hn_level(level: int, circles: int) -> MonodromySystem:
     """Level-n monodromy over the N-petal rose: flips below n, trivial above."""
     if not 1 <= level <= circles:
@@ -180,9 +170,9 @@ def hn_level(level: int, circles: int) -> MonodromySystem:
     actions = {}
     for j in range(1, circles + 1):
         if j <= level:
-            actions[petal_name(j)] = {eps: flip(level, eps, j) for eps in fibre}
+            actions[j] = {eps: flip(level, eps, j) for eps in fibre}
         else:
-            actions[petal_name(j)] = {eps: eps for eps in fibre}
+            actions[j] = {eps: eps for eps in fibre}
     return MonodromySystem(fibre, actions)
 
 
@@ -228,7 +218,7 @@ def deck_group_hn(level: int) -> list[SignVector]:
 # seeded kernel words
 
 
-def random_kernel_word(rng, circles: int) -> HLetterWord:
+def random_kernel_word(rng, circles: int) -> LoopWord:
     """A seeded word in which every letter appears an even number of times.
 
     At most four distinct letters, each used two or four times.

@@ -8,7 +8,8 @@ are fibre bijections commuting with every petal action. The total space is
 never materialized.
 
 Word evaluation is left to right: the first letter acts first, matching
-path concatenation.
+path concatenation. Cycle structure and tower strictness are stated here
+too, once for every model; this module imports no other ``liftlab`` module.
 
 Infinite fibres are truncated. Truncation artifacts (the wrap transition
 closing a cut orbit) are flagged, and every consumer of orbit data carries
@@ -18,19 +19,19 @@ the flag through rather than silently pretending the model is complete.
 from __future__ import annotations
 
 import operator
+import re
+from collections.abc import Hashable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from random import Random
-
-from .profinite import TruncatedPadic, padic_distance
 
 
 class SearchBoundExceeded(RuntimeError):
     """An exhaustive search would exceed its configured bound."""
 
 
-LoopLetter = tuple[str, int]
+LoopLetter = tuple[Hashable, int]
 LoopWord = tuple[LoopLetter, ...]
 
 
@@ -43,7 +44,8 @@ def parse_loop_word(text: str) -> LoopWord:
     tokens = []
     for token in text.split():
         label, caret, exp_text = token.partition("^")
-        if not label or (caret and not exp_text):
+        # ASCII digits only: int() alone also takes "1_000" and non-ASCII digits
+        if not label or (caret and not re.fullmatch(r"[+-]?[0-9]+", exp_text)):
             raise ValueError(f"malformed token {token!r}")
         tokens.append((label, int(exp_text) if caret else 1))
     if sum(abs(exp) for _, exp in tokens) > MAX_WORD_LETTERS:
@@ -158,6 +160,23 @@ def orbit_partition(sys: MonodromySystem) -> list[list]:
     return orbits
 
 
+def cycle_lengths(step: dict) -> list[int]:
+    """Sorted cycle lengths of a permutation given as a point table."""
+    seen = set()
+    lengths = []
+    for p in step:
+        if p in seen:
+            continue
+        length = 0
+        q = p
+        while q not in seen:
+            seen.add(q)
+            q = step[q]
+            length += 1
+        lengths.append(length)
+    return sorted(lengths)
+
+
 def component_degrees(sys: MonodromySystem, orbits: list[list]) -> list[dict]:
     """Degree of the covering restricted to each path component.
 
@@ -208,8 +227,8 @@ def orbit_closure(sys: MonodromySystem, orbit: list) -> list:
 class TowerModel:
     """Levels over one rose with bonding maps of fibres, top to bottom.
 
-    Construction only checks shapes; ``tower_strictness_check`` produces the
-    full verdict so that defective towers can be built and then diagnosed.
+    Construction only checks shapes; ``tower_strictness_check`` lists every
+    violation so that defective towers can be built and then diagnosed.
     """
 
     levels: list[MonodromySystem]
@@ -227,14 +246,8 @@ class TowerModel:
             )
 
 
-@dataclass(frozen=True)
-class StrictnessVerdict:
-    ok: bool
-    violations: tuple[str, ...]
-
-
-def tower_strictness_check(tower: TowerModel) -> StrictnessVerdict:
-    """Verify every bond is onto and equivariant for every petal."""
+def tower_strictness_check(tower: TowerModel) -> tuple[str, ...]:
+    """Each bond that is not onto or not equivariant; empty for a strict tower."""
     violations = []
     for i, bond in enumerate(tower.bonds):
         upper, lower = tower.levels[i + 1], tower.levels[i]
@@ -253,7 +266,7 @@ def tower_strictness_check(tower: TowerModel) -> StrictnessVerdict:
                         f"bond {i}: not equivariant for petal {petal!r} at {p!r}"
                     )
                     break
-    return StrictnessVerdict(not violations, tuple(violations))
+    return tuple(violations)
 
 
 # ---------------------------------------------------------------------------
@@ -332,24 +345,12 @@ def deck_search(sys: MonodromySystem, max_results: int = 20000) -> list[dict]:
 def solenoid_level(base: int, level: int) -> MonodromySystem:
     """Level ``level`` of the base-fold self-cover tower of the circle.
 
-    Fibre Z/base^level with the loop acting by +1; the fibre metric is the
-    base-adic distance of residues.
+    Fibre Z/base^level with the loop acting by +1. There is no fibre
+    metric, so ``orbit_closure`` rejects the system; with no clamped
+    transitions every orbit would be its own closure anyway.
     """
     m = base**level
-
-    def metric(x: int, y: int) -> Fraction:
-        if x == y:
-            return Fraction(0)
-        d = padic_distance(
-            TruncatedPadic(base, level, x), TruncatedPadic(base, level, y)
-        )
-        return d.bound
-
-    return MonodromySystem(
-        range(m),
-        {"a": {x: (x + 1) % m for x in range(m)}},
-        metric=metric,
-    )
+    return MonodromySystem(range(m), {"a": {x: (x + 1) % m for x in range(m)}})
 
 
 def solenoid_tower(base: int, top_level: int) -> TowerModel:

@@ -22,11 +22,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd
+from math import lcm
 from random import Random
 
-from .lifting import MonodromySystem, TowerModel, orbit_partition, tower_strictness_check
+from .lifting import (
+    MonodromySystem, TowerModel, cycle_lengths, orbit_partition, tower_strictness_check,
+)
 from .ultrametric import Distance, bounded_distance, exact_distance
 
 
@@ -58,17 +59,12 @@ def mt_doubling(n: int) -> str:
     return word
 
 
-@lru_cache(maxsize=8)
-def _mt_block(n: int) -> str:
-    return mt_doubling(n)
-
-
 def mt_prefix(length: int) -> str:
     """The first ``length`` symbols of the Thue-Morse sequence."""
     n = 0
     while (1 << n) < length:
         n += 1
-    return _mt_block(n)[:length]
+    return mt_doubling(n)[:length]
 
 
 def popcount_parity_prefix(length: int) -> str:
@@ -271,16 +267,11 @@ def non_equicontinuity_witness(
     half = Fraction(1, 2)
     # Pairs must agree to the requested depth first; bucket on the central block.
     buckets: dict[str, list[int]] = {}
-    order: list[str] = []
     for idx, w in enumerate(windows):
         lo = w.radius - depth + 1
-        key = w.symbols[lo : lo + 2 * depth - 1]
-        if key not in buckets:
-            buckets[key] = []
-            order.append(key)
-        buckets[key].append(idx)
-    for key in order:
-        members = buckets[key]
+        buckets.setdefault(w.symbols[lo : lo + 2 * depth - 1], []).append(idx)
+    shifts = _signed_shifts(horizon, include_zero=False)
+    for members in buckets.values():
         for a, b in itertools.combinations(members, 2):
             x, y = windows[a], windows[b]
             if x == y:
@@ -288,7 +279,7 @@ def non_equicontinuity_witness(
             start = word_metric(x, y)
             if not start.at_most(Fraction(1, 2**depth)):
                 continue
-            for t in _signed_shifts(horizon, include_zero=False):
+            for t in shifts:
                 d = word_metric(shift(x, t), shift(y, t))
                 if d.at_least(half):
                     return OrbitPairWitness(x, y, t, start, d)
@@ -302,25 +293,6 @@ def non_equicontinuity_witness(
 # permutation of the fibre is the step.
 
 
-def kernel_of_action(step: dict) -> int:
-    """Index of the action kernel: the least n >= 1 with step^n = identity."""
-    order = 1
-    seen = set()
-    for p in step:
-        if p in seen:
-            continue
-        length = 0
-        q = p
-        while True:
-            seen.add(q)
-            q = step[q]
-            length += 1
-            if q == p:
-                break
-        order = order * length // gcd(order, length)
-    return order
-
-
 class StrictTower(TowerModel):
     """A tower whose bonds are onto and equivariant for every petal.
 
@@ -331,7 +303,7 @@ class StrictTower(TowerModel):
 
     def __init__(self, levels: list[MonodromySystem], bonds: list[dict]):
         super().__init__(list(levels), [dict(bond) for bond in bonds])
-        violations = tower_strictness_check(self).violations
+        violations = tower_strictness_check(self)
         if violations:
             raise ValueError(violations[0])
 
@@ -354,7 +326,7 @@ def equicontinuity_modulus(tower: StrictTower) -> list[dict]:
                     "level": n,
                     "delta_level": n,
                     "pairs_checked": len(top.fibre),
-                    "powers_checked": kernel_of_action(top.actions["a"]),
+                    "powers_checked": lcm(*cycle_lengths(top.actions["a"])),
                 }
             )
             continue
@@ -364,7 +336,7 @@ def equicontinuity_modulus(tower: StrictTower) -> list[dict]:
         fibres: dict = {}
         for p in upper.fibre:
             fibres.setdefault(bond[p], []).append(p)
-        order = kernel_of_action(step)
+        order = lcm(*cycle_lengths(step))
         pairs = 0
         for members in fibres.values():
             # "same bond image at every power" is an equivalence relation, so

@@ -244,13 +244,13 @@ def test_c11_hawaiian_suite():
             start = hawaiian.random_sign_vector(rng, level)
             assert hawaiian.lift_word_hn(level, word, start) == start
         tower = hawaiian.hn_tower(12)
-        assert lifting.tower_strictness_check(tower).ok
+        assert lifting.tower_strictness_check(tower) == ()
         for _ in range(200):
             n = rng.randint(1, 11)
             upper, lower = tower.levels[n], tower.levels[n - 1]
             bond = tower.bonds[n - 1]
             word = tuple(
-                (hawaiian.petal_name(rng.randint(1, 12)), rng.choice((1, -1)))
+                (rng.randint(1, 12), rng.choice((1, -1)))
                 for _ in range(rng.randint(0, 8))
             )
             start = upper.fibre[rng.randrange(len(upper.fibre))]

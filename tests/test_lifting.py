@@ -31,6 +31,7 @@ from liftlab.lifting import (
     system_to_json,
     tower_strictness_check,
 )
+from liftlab.profinite import TruncatedPadic, padic_distance
 
 
 def random_word(rng: Random, petals, max_len: int = 12):
@@ -51,6 +52,7 @@ class TestWords:
     def test_parsing(self):
         assert parse_loop_word("a^5") == (("a", 1),) * 5
         assert parse_loop_word("a b^-2") == (("a", 1), ("b", -1), ("b", -1))
+        assert parse_loop_word("a^+2 b^-0") == (("a", 1), ("a", 1))
         assert parse_loop_word("") == ()
 
     def test_expansion_bounded_before_allocation(self):
@@ -63,7 +65,7 @@ class TestWords:
         assert perf_counter() - started < 0.1
 
     def test_empty_exponent_rejected(self):
-        for text in ("a^", "a^5 b^"):
+        for text in ("a^", "a^5 b^", "a^b", "a^1_000", "a^\u0663", "a^2^3"):
             with pytest.raises(ValueError, match="malformed token"):
                 parse_loop_word(text)
 
@@ -182,14 +184,22 @@ class TestOrbits:
         assert set(closure) == set(orbit) | {"bot", "top"}
 
     def test_closure_solenoid_single_orbit(self):
-        sys = solenoid_level(2, 4)
+        # solenoid_level carries no metric; give its fibre the 2-adic one
+        level = solenoid_level(2, 4)
+        sys = MonodromySystem(
+            level.fibre,
+            level.actions,
+            metric=lambda x, y: Fraction(0)
+            if x == y
+            else padic_distance(TruncatedPadic(2, 4, x), TruncatedPadic(2, 4, y)).bound,
+        )
         orbit = orbit_partition(sys)[0]
         assert orbit_closure(sys, orbit) == orbit
 
     def test_closure_requires_metric(self):
-        sys = random_permutation_system(3, 5)
-        with pytest.raises(ValueError):
-            orbit_closure(sys, orbit_partition(sys)[0])
+        for sys in (random_permutation_system(3, 5), solenoid_level(2, 4)):
+            with pytest.raises(ValueError, match="needs a metric"):
+                orbit_closure(sys, orbit_partition(sys)[0])
 
 
 class TestDeckSearch:
@@ -282,28 +292,24 @@ class TestDeckSearch:
 class TestTowers:
     def test_solenoid_tower_strict(self):
         tower = solenoid_tower(2, 8)
-        verdict = tower_strictness_check(tower)
-        assert verdict.ok and verdict.violations == ()
+        assert tower_strictness_check(tower) == ()
 
     def test_dropping_a_point_breaks_surjectivity(self):
         tower = solenoid_tower(2, 2)
         broken = TowerModel(tower.levels, [{x: 0 for x in range(4)}])
-        verdict = tower_strictness_check(broken)
-        assert not verdict.ok
-        assert any("onto" in v for v in verdict.violations)
+        assert any("onto" in v for v in tower_strictness_check(broken))
 
     def test_non_equivariant_bond_detected(self):
         # four-point counterexample: swap two preimages of one point
         tower = solenoid_tower(2, 2)
         bond = {0: 0, 1: 1, 2: 1, 3: 0}
-        verdict = tower_strictness_check(TowerModel(tower.levels, [bond]))
-        assert not verdict.ok
-        assert any("equivariant" in v for v in verdict.violations)
+        violations = tower_strictness_check(TowerModel(tower.levels, [bond]))
+        assert any("equivariant" in v for v in violations)
 
     def test_lift_projects_through_bonds(self):
         rng = Random(99)
         tower = solenoid_tower(3, 4)
-        assert tower_strictness_check(tower).ok
+        assert tower_strictness_check(tower) == ()
         for _ in range(100):
             n = rng.randint(0, len(tower.levels) - 2)
             upper, lower = tower.levels[n + 1], tower.levels[n]

@@ -330,6 +330,9 @@ class TestCli:
         [
             ("a^1000000000000", "word expands into more than 100000 letters"),
             ("a^", "malformed token 'a^'"),
+            ("a^b", "malformed token 'a^b'"),
+            ("a^1_000", "malformed token 'a^1_000'"),
+            ("a^\u0663", "malformed token 'a^\u0663'"),
         ],
     )
     def test_unparsable_word_usage_error(self, capsys, word, message):

@@ -3,7 +3,7 @@
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from random import Random
 
 import pytest
@@ -14,6 +14,7 @@ from liftlab.hawaiian import hn_tower
 from liftlab.lifting import (
     MonodromySystem,
     TowerModel,
+    cycle_lengths,
     solenoid_level,
     solenoid_tower,
 )
@@ -24,7 +25,6 @@ from liftlab.symdyn import (
     aperiodicity_check,
     equicontinuity_modulus,
     factor_counts,
-    kernel_of_action,
     max_recurrence_gap,
     mt_doubling,
     mt_prefix,
@@ -313,8 +313,8 @@ class TestFiniteZSystems:
             MonodromySystem([0, 1, 2], {"a": {0: 1, 1: 1, 2: 0}})
 
     def test_kernel_examples(self):
-        assert kernel_of_action({0: 0, 1: 1}) == 1
-        assert kernel_of_action({x: (x + 1) % 8 for x in range(8)}) == 8
+        assert lcm(*cycle_lengths({0: 0, 1: 1})) == 1
+        assert lcm(*cycle_lengths({x: (x + 1) % 8 for x in range(8)})) == 8
 
     def test_kernel_matches_lcm_oracle(self):
         rng = Random(7)
@@ -339,7 +339,8 @@ class TestFiniteZSystems:
             expected = 1
             for size in lengths:
                 expected = expected * size // gcd(expected, size)
-            assert kernel_of_action(dict(enumerate(perm))) == expected
+            assert cycle_lengths(dict(enumerate(perm))) == sorted(lengths)
+            assert lcm(*cycle_lengths(dict(enumerate(perm)))) == expected
 
 
 class TestStrictTowers:
@@ -395,12 +396,12 @@ class TestStrictTowers:
             equicontinuity_modulus(tower)
 
     def test_modulus_reads_the_given_petal(self):
-        # the squaring tower with one circle kept as petal a: a_j flips
-        # coordinate j, so a_3 acts trivially on level 2 and with order 2 on
-        # level 3; row n checks powers of the step on level n + 1 (the top
-        # row on the top level)
+        # the squaring tower with one circle kept as petal a: circle j flips
+        # coordinate j, so circle 3 acts trivially on level 2 and with order
+        # 2 on level 3; row n checks powers of the step on level n + 1 (the
+        # top row on the top level)
         squaring = hn_tower(3)
-        for petal, powers in (("a1", [2, 2, 2]), ("a3", [1, 2, 2])):
+        for petal, powers in ((1, [2, 2, 2]), (3, [1, 2, 2])):
             levels = [
                 MonodromySystem(lv.fibre, {"a": lv.actions[petal]})
                 for lv in squaring.levels
