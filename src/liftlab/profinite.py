@@ -9,7 +9,8 @@ The glue is the complete prefix-free binary code {0: 00, 1: 01, 2: 1} for
 ternary digits. Reading a binary digit stream through the code
 (``glue_forward``) is a homeomorphism from binary to ternary digit streams; on
 finite strings it determines only finitely many ternary digits and reports
-exactly how many.
+exactly how many. Every codeword ends in 1 or is 00, so every run of zeros
+starts a codeword; pairing zeros from the left, as ``str.replace`` does, parses.
 
 ``rigidity_witness`` records the incompatibility of repeated doubling on the
 two sides of the glue: doubling contracts binary residues one valuation step
@@ -19,9 +20,9 @@ is the finite obstruction to a translation-pair symmetry of the glued system.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .ultrametric import Distance, Valuation, bounded_distance, exact_distance
 
@@ -35,12 +36,16 @@ class GluePrecisionError(ValueError):
 
 
 _DIGIT_CHARS = "0123456789"
+_INT_CHUNK = 640  # sys.int_info.str_digits_check_threshold, the lowest int() limit
 
 
 def int_to_digits(value: int, base: int, length: int) -> str:
     """Residue as a digit string, least significant digit first."""
-    if base > len(_DIGIT_CHARS):
-        raise ValueError(f"digit strings support base <= 10, got {base}")
+    if not 2 <= base <= len(_DIGIT_CHARS):
+        raise ValueError(f"digit strings support bases 2..10, got {base}")
+    if base == 2:  # a sentinel bit above the residue keeps the leading zeros
+        top = 1 << length
+        return format(value & (top - 1) | top, "b")[:0:-1]
     out = []
     v = value
     for _ in range(length):
@@ -50,12 +55,18 @@ def int_to_digits(value: int, base: int, length: int) -> str:
 
 
 def digits_to_int(digits: str, base: int) -> int:
-    value = 0
-    for ch in reversed(digits):
-        d = ord(ch) - ord("0")
-        if not 0 <= d < base:
-            raise ValueError(f"digit {ch!r} out of range for base {base}")
-        value = value * base + d
+    if not 2 <= base <= len(_DIGIT_CHARS):
+        raise ValueError(f"digit strings support bases 2..10, got {base}")
+    bad = digits.strip(_DIGIT_CHARS[:base])  # ends at the last bad character
+    if bad:
+        raise ValueError(f"digit {bad[-1]!r} out of range for base {base}")
+    # int() refuses long strings in bases that are not powers of two, so
+    # convert most significant chunks first, each below every possible limit
+    msd_first = digits[::-1] or "0"
+    value = int(msd_first[:_INT_CHUNK], base)
+    for i in range(_INT_CHUNK, len(msd_first), _INT_CHUNK):
+        chunk = msd_first[i : i + _INT_CHUNK]
+        value = value * base ** len(chunk) + int(chunk, base)
     return value
 
 
@@ -123,6 +134,8 @@ def padic_valuation(x: TruncatedPadic) -> Valuation:
     """
     if x.residue == 0:
         return Valuation(x.precision, saturated=True)
+    if x.base == 2:  # the lowest set bit
+        return Valuation((x.residue & -x.residue).bit_length() - 1, saturated=False)
     v = 0
     r = x.residue
     while r % x.base == 0:
@@ -156,23 +169,20 @@ class PrefixCodeHomeo:
     ``code[d]`` is the binary codeword emitted for ternary digit ``d``. It is
     the smallest complete code between ternary and binary digit streams;
     completeness (Kraft sum exactly 1) plus prefix-freeness make decoding a
-    genuine homeomorphism of digit streams. The decode and encode tables are
-    derived once from ``code``.
+    genuine homeomorphism of digit streams. ``encode`` is one ``str.translate``
+    table; ``decode`` reads the marks ``glue_forward`` puts on codewords.
     """
 
     code = ("00", "01", "1")
-    decode = {word: str(d) for d, word in enumerate(code)}
     encode = str.maketrans({str(d): word for d, word in enumerate(code)})
-    # a whole codeword, else everything from the first undecodable position
-    pattern = re.compile("|".join(code) + "|.+", re.DOTALL)
+    decode = str.maketrans("ab1", "012")  # a = 00, b = 01
 
 
 def default_glue() -> PrefixCodeHomeo:
     return PrefixCodeHomeo()
 
 
-@dataclass(frozen=True)
-class GlueResult:
+class GlueResult(NamedTuple):
     """Outcome of a partial decode: full digits determined, tail discarded."""
 
     digits: str
@@ -182,13 +192,15 @@ class GlueResult:
 def glue_forward(glue: PrefixCodeHomeo, binary: str) -> GlueResult:
     """Decode a binary digit string into ternary digits.
 
-    Only whole codewords produce digits; a trailing partial codeword is
-    reported as leftover. The count of decoded digits is the achieved
-    precision on the ternary side.
+    Only whole codewords produce digits; a trailing partial codeword, and
+    everything from the first non-binary character, is reported as leftover.
+    The count of decoded digits is the achieved precision on the ternary side.
     """
-    pieces = glue.pattern.findall(binary)
-    leftover = pieces.pop() if pieces and pieces[-1] not in glue.decode else ""
-    return GlueResult("".join(map(glue.decode.__getitem__, pieces)), leftover)
+    tail = binary.lstrip("01")  # everything from the first non-binary character
+    marked = binary[: len(binary) - len(tail)].replace("00", "a").replace("01", "b")
+    if marked.endswith("0"):  # half a codeword
+        return GlueResult(marked[:-1].translate(glue.decode), "0" + tail)
+    return GlueResult(marked.translate(glue.decode), tail)
 
 
 def glue_backward(glue: PrefixCodeHomeo, digits: str) -> str:
@@ -243,16 +255,11 @@ class RigidityReport:
 
 
 def _valuations_march(vals: tuple[Valuation, ...], precision: int) -> bool:
-    for prev, cur in zip(vals, vals[1:]):
-        if prev.saturated:
-            if not cur.saturated:
-                return False
-        elif prev.digits + 1 == precision:
-            if not cur.saturated:
-                return False
-        elif not (not cur.saturated and cur.digits == prev.digits + 1):
-            return False
-    return True
+    """Each valuation is one more than the last until it saturates at ``precision``."""
+    return all(
+        cur == Valuation(n, saturated=n == precision)
+        for n, cur in zip((min(v.digits + 1, precision) for v in vals), vals[1:])
+    )
 
 
 def rigidity_witness(a: TruncatedPadic, iterations: int) -> RigidityReport:
@@ -277,26 +284,16 @@ def rigidity_witness(a: TruncatedPadic, iterations: int) -> RigidityReport:
     base_val = padic_valuation(fbar)
     expected = Fraction(1, 3**base_val.digits)
 
-    u = a
-    u_vals = []
-    for _ in range(iterations):
-        u_vals.append(padic_valuation(u))
-        u = padic_scale(2, u)
-
-    w = fbar
-    w_dists = []
-    for _ in range(iterations - 1):
-        w_next = padic_scale(2, w)
-        w_dists.append(padic_distance(w, w_next))
-        w = w_next
-
-    march = _valuations_march(tuple(u_vals), a.precision)
+    u_vals = tuple(padic_valuation(padic_scale(2**i, a)) for i in range(iterations))
+    ws = [fbar] + [padic_scale(2**i, fbar) for i in range(1, iterations)]
+    w_dists = tuple(padic_distance(w, w_next) for w, w_next in zip(ws, ws[1:]))
+    march = _valuations_march(u_vals, a.precision)
     constant = all(d.exact and d.bound == expected for d in w_dists)
     return RigidityReport(
         a=a,
         glued_offset=fbar,
-        u_valuations=tuple(u_vals),
-        w_distances=tuple(w_dists),
+        u_valuations=u_vals,
+        w_distances=w_dists,
         expected_distance=expected,
         valuations_march=march,
         distances_constant=constant,

@@ -1,6 +1,7 @@
 """Truncated p-adic arithmetic against big-integer oracles, and the glue code."""
 
 import itertools
+import re
 from fractions import Fraction
 from random import Random
 
@@ -124,8 +125,15 @@ class TestValuationDistance:
         assert padic_valuation(TruncatedPadic(2, 4, 12)).digits == 2
         assert padic_valuation(TruncatedPadic(3, 3, 9)).digits == 2
 
+    def test_base_two_every_valuation_to_1024(self):
+        rng = Random(12)
+        for v in range(1024):
+            residue = (2 * rng.randrange(2 ** (1023 - v)) + 1) << v
+            got = padic_valuation(TruncatedPadic(2, 1024, residue))
+            assert (got.digits, got.saturated) == oracle_valuation(residue, 2, 1024)
+
     @settings(deadline=None, max_examples=150)
-    @given(padics())
+    @given(st.one_of(padics(), padics(bases=(2,), max_precision=1024)))
     def test_valuation_oracle(self, x):
         v = padic_valuation(x)
         digits, saturated = oracle_valuation(x.residue, x.base, x.precision)
@@ -175,12 +183,71 @@ class TestProjection:
         )
 
 
+def divmod_digits(value: int, base: int, length: int) -> str:
+    """Digit strings as first written: one divmod per digit."""
+    out = []
+    for _ in range(length):
+        value, r = divmod(value, base)
+        out.append("0123456789"[r])
+    return "".join(out)
+
+
+def horner_value(digits: str, base: int) -> int:
+    """Digit values as first written: Horner's rule from the last digit."""
+    value = 0
+    for ch in reversed(digits):
+        value = value * base + ord(ch) - ord("0")
+    return value
+
+
 class TestDigitStrings:
     def test_round_trip(self):
         assert int_to_digits(6, 2, 3) == "011"
         assert digits_to_int("011", 2) == 6
         for value in range(27):
             assert digits_to_int(int_to_digits(value, 3, 5), 3) == value
+
+    def test_base_two_matches_divmod_reference(self):
+        rng = Random(13)
+        values = list(range(-70, 70)) + [rng.randrange(-(2**80), 2**80) for _ in range(60)]
+        for length in (0, 1, 2, 5, 8, 64):
+            for value in values:
+                assert int_to_digits(value, 2, length) == divmod_digits(value, 2, length)
+        assert int_to_digits(2**1024 + 5, 2, 1024) == divmod_digits(2**1024 + 5, 2, 1024)
+
+    def test_digit_values_match_horner_reference(self):
+        rng = Random(14)
+        for base in range(2, 11):
+            for length in (0, 1, 7, 639, 640, 641, 1300):
+                s = "".join(rng.choice("0123456789"[:base]) for _ in range(length))
+                assert digits_to_int(s, base) == horner_value(s, base)
+
+    def test_long_ternary_string_round_trips(self):
+        # a bare int(s, 3) refuses strings past 4,300 digits
+        rng = Random(15)
+        s = "".join(rng.choice("012") for _ in range(5000))
+        assert int_to_digits(digits_to_int(s, 3), 3, 5000) == s
+
+    @pytest.mark.parametrize(
+        "digits, base, bad",
+        [("+1", 10, "+"), ("1_0", 10, "_"), (" 1", 10, " "), ("٣", 10, "٣"),
+         ("0120", 2, "2"), ("3013", 3, "3")],
+    )
+    def test_non_digit_named(self, digits, base, bad):
+        # the last bad character, the one a least-significant-first scan meets first
+        with pytest.raises(ValueError, match=re.escape(f"digit {bad!r} out of range for base {base}")):
+            digits_to_int(digits, base)
+
+    def test_empty_string_is_zero(self):
+        assert digits_to_int("", 3) == 0
+        assert int_to_digits(5, 3, 0) == ""
+
+    @pytest.mark.parametrize("base", [-2, 0, 1, 11, 16])
+    def test_base_outside_two_to_ten_rejected(self, base):
+        with pytest.raises(ValueError, match="bases 2..10"):
+            int_to_digits(5, base, 3)
+        with pytest.raises(ValueError, match="bases 2..10"):
+            digits_to_int("0", base)
 
 
 def greedy_decode(code: tuple[str, ...], binary: str) -> tuple[str, str]:
@@ -223,11 +290,13 @@ class TestGlueCode:
 
     def test_forward_matches_greedy_oracle(self):
         glue = default_glue()
-        for length in range(15):
-            for bits in itertools.product("01", repeat=length):
-                s = "".join(bits)
-                res = glue_forward(glue, s)
-                assert (res.digits, res.leftover) == greedy_decode(glue.code, s), s
+        strings = ["".join(cs) for n in range(15) for cs in itertools.product("01", repeat=n)]
+        # off the binary alphabet, everything from the first bad character is leftover
+        strings += ["".join(cs) for n in range(10) for cs in itertools.product("01x", repeat=n)]
+        strings += ["2", "0\n", "102", "0012\n1", "\n", "1\n0", "000x", "01\n\n"]
+        for s in strings:
+            res = glue_forward(glue, s)
+            assert (res.digits, res.leftover) == greedy_decode(glue.code, s), repr(s)
 
     def test_backward_examples(self):
         glue = default_glue()
