@@ -16,6 +16,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from liftlab.experiments import SPECS, ExperimentConfig, run  # noqa: E402
+from liftlab.reports import PASSING_VERDICTS  # noqa: E402
 
 
 def main() -> int:
@@ -33,7 +34,7 @@ def main() -> int:
         report = run(ExperimentConfig(experiment=name, seed=seed))
         path = out_dir / f"{name}.json"
         path.write_text(report.to_json(), encoding="utf-8")
-        ok = report.verdict in ("pass", "witness-found")
+        ok = report.verdict in PASSING_VERDICTS
         failures += 0 if ok else 1
         print(f"{name:24s} {report.verdict:22s} {report.wall_time_s:8.2f}s  -> {path}")
     return 1 if failures else 0

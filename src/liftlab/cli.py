@@ -20,6 +20,7 @@ from .experiments import (
     flag,
     run,
 )
+from .reports import PASSING_VERDICTS
 
 
 def _epilog() -> str:
@@ -99,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
         print("error:", " ".join(str(err).splitlines()), file=sys.stderr)
         return 2
     sys.stdout.write(text)
-    return 0 if report.verdict in ("pass", "witness-found") else 1
+    return 0 if report.verdict in PASSING_VERDICTS else 1
 
 
 if __name__ == "__main__":

@@ -35,8 +35,8 @@ def _witness_json(witness: symdyn.OrbitPairWitness) -> dict:
         "x_center": symdyn.truncate_window(witness.x, show).symbols,
         "y_center": symdyn.truncate_window(witness.y, show).symbols,
         "shift": witness.shift_by,
-        "start_distance": str(witness.start_distance),
-        "end_distance": str(witness.end_distance),
+        "start_distance": str(Fraction(1, 2**witness.start_distance)),
+        "end_distance": str(Fraction(1, 2**witness.end_distance)),
     }
 
 
@@ -190,8 +190,10 @@ def run_amalgam_rigidity(precision: int, words: int, depth: int, seed: int):
         rows.append(
             {
                 "a": a.digits(),
-                "binary_valuations": [str(v) for v in report.u_valuations],
-                "ternary_step_distance": str(report.expected_distance),
+                "binary_valuations": [
+                    f">={v}" if v == precision else str(v) for v in report.u_valuations
+                ],
+                "ternary_step_distance": str(Fraction(1, 3**report.step_valuation)),
                 "distances_constant": report.distances_constant,
                 "valuations_march": report.valuations_march,
                 "diverges": report.diverges,

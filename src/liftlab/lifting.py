@@ -212,8 +212,13 @@ def orbit_closure(sys: MonodromySystem, orbit: list) -> list:
         for p in sys.fibre:
             if p in members:
                 continue
-            best = min(sys.metric(p, q) for q in orbit)
-            nearest = {q for q in orbit if sys.metric(p, q) == best}
+            best, nearest = None, set()
+            for q in orbit:
+                d = sys.metric(p, q)
+                if best is None or d < best:
+                    best, nearest = d, {q}
+                elif d == best:
+                    nearest.add(q)
             if nearest & flagged_ends:
                 closure.append(p)
     return sorted(closure, key=sys.index.__getitem__)

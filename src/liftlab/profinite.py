@@ -12,6 +12,9 @@ finite strings it determines only finitely many ternary digits and reports
 exactly how many. Every codeword ends in 1 or is 00, so every run of zeros
 starts a codeword; pairing zeros from the left, as ``str.replace`` does, parses.
 
+Valuations and distances ``base**-v`` are the int v in ``0..precision``; a
+truncation certifies no more, so v == precision means only v >= precision.
+
 ``rigidity_witness`` records the incompatibility of repeated doubling on the
 two sides of the glue: doubling contracts binary residues one valuation step
 per iteration, while the glued ternary images stay at a constant scale. This
@@ -21,10 +24,7 @@ is the finite obstruction to a translation-pair symmetry of the glued system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
-
-from .ultrametric import Distance, Valuation, bounded_distance, exact_distance
 
 
 class IncompatibleOperands(ValueError):
@@ -72,7 +72,10 @@ def digits_to_int(digits: str, base: int) -> int:
 
 @dataclass(frozen=True)
 class TruncatedPadic:
-    """A p-adic integer known to ``precision`` digits in the given base."""
+    """A p-adic integer known to ``precision`` digits in the given base.
+
+    ``modulus`` is ``base**precision``, computed once at construction.
+    """
 
     base: int
     precision: int
@@ -83,14 +86,12 @@ class TruncatedPadic:
             raise ValueError(f"base must be >= 2, got {self.base}")
         if self.precision < 1:
             raise ValueError(f"precision must be >= 1, got {self.precision}")
-        if not 0 <= self.residue < self.base**self.precision:
+        modulus = self.base**self.precision
+        if not 0 <= self.residue < modulus:
             raise ValueError(
                 f"residue {self.residue} outside [0, {self.base}^{self.precision})"
             )
-
-    @property
-    def modulus(self) -> int:
-        return self.base**self.precision
+        self.__dict__["modulus"] = modulus  # computed once; not a field
 
     @classmethod
     def from_digits(cls, digits: str, base: int) -> "TruncatedPadic":
@@ -127,30 +128,23 @@ def padic_scale(n: int, x: TruncatedPadic) -> TruncatedPadic:
     return TruncatedPadic(x.base, x.precision, (n * x.residue) % x.modulus)
 
 
-def padic_valuation(x: TruncatedPadic) -> Valuation:
-    """Largest v with ``base**v`` dividing the residue.
-
-    A zero residue saturates: the truncation certifies only valuation >= k.
-    """
+def padic_valuation(x: TruncatedPadic) -> int:
+    """Largest v with ``base**v`` dividing the residue; ``precision`` for zero."""
     if x.residue == 0:
-        return Valuation(x.precision, saturated=True)
+        return x.precision
     if x.base == 2:  # the lowest set bit
-        return Valuation((x.residue & -x.residue).bit_length() - 1, saturated=False)
+        return (x.residue & -x.residue).bit_length() - 1
     v = 0
     r = x.residue
     while r % x.base == 0:
         r //= x.base
         v += 1
-    return Valuation(v, saturated=False)
+    return v
 
 
-def padic_distance(x: TruncatedPadic, y: TruncatedPadic) -> Distance:
-    """Ultrametric distance ``base**-v(x - y)``, bounded when residues agree."""
-    _check_compatible(x, y)
-    val = padic_valuation(padic_sub(x, y))
-    if val.saturated:
-        return bounded_distance(x.base, x.precision)
-    return exact_distance(x.base, val.digits)
+def padic_distance(x: TruncatedPadic, y: TruncatedPadic) -> int:
+    """The exponent v of the distance ``base**-v``: the valuation of x - y."""
+    return padic_valuation(padic_sub(x, y))
 
 
 def padic_project(x: TruncatedPadic, precision: int) -> TruncatedPadic:
@@ -234,18 +228,17 @@ class RigidityReport:
     """Doubling orbits of ``a`` on both sides of the glue.
 
     ``u_valuations[i]`` is the binary valuation of ``2^i * a``: it must climb
-    by one per step until the truncation saturates (the orbit contracts to 0).
-    ``w_distances[i]`` is the ternary distance between consecutive glued
-    multiples ``2^i * nglue(a)``: doubling is an isometry on the ternary side,
-    so the distances are one constant rational and the orbit never contracts.
-    ``diverges`` is true exactly when both patterns were observed.
+    by one per step until it saturates at the precision (the orbit contracts
+    to 0). ``w_distances[i]`` is the distance exponent between consecutive
+    glued multiples ``2^i * nglue(a)``: doubling is an isometry on the ternary
+    side, so each equals ``step_valuation``, the valuation of the nonzero
+    ``nglue(a)``, and the orbit never contracts. ``diverges`` is true exactly
+    when both patterns were observed.
     """
 
-    a: TruncatedPadic
-    glued_offset: TruncatedPadic
-    u_valuations: tuple[Valuation, ...]
-    w_distances: tuple[Distance, ...]
-    expected_distance: Fraction
+    u_valuations: tuple[int, ...]
+    w_distances: tuple[int, ...]
+    step_valuation: int
     valuations_march: bool
     distances_constant: bool
 
@@ -254,12 +247,9 @@ class RigidityReport:
         return self.valuations_march and self.distances_constant
 
 
-def _valuations_march(vals: tuple[Valuation, ...], precision: int) -> bool:
+def _valuations_march(vals: tuple[int, ...], precision: int) -> bool:
     """Each valuation is one more than the last until it saturates at ``precision``."""
-    return all(
-        cur == Valuation(n, saturated=n == precision)
-        for n, cur in zip((min(v.digits + 1, precision) for v in vals), vals[1:])
-    )
+    return all(cur == min(v + 1, precision) for v, cur in zip(vals, vals[1:]))
 
 
 def rigidity_witness(a: TruncatedPadic, iterations: int) -> RigidityReport:
@@ -281,20 +271,17 @@ def rigidity_witness(a: TruncatedPadic, iterations: int) -> RigidityReport:
             f"normalized glue image vanishes at ternary precision {fbar.precision}; "
             f"supply at least {2 * (fbar.precision + 1)} binary digits"
         )
-    base_val = padic_valuation(fbar)
-    expected = Fraction(1, 3**base_val.digits)
+    step = padic_valuation(fbar)
 
     u_vals = tuple(padic_valuation(padic_scale(2**i, a)) for i in range(iterations))
     ws = [fbar] + [padic_scale(2**i, fbar) for i in range(1, iterations)]
     w_dists = tuple(padic_distance(w, w_next) for w, w_next in zip(ws, ws[1:]))
     march = _valuations_march(u_vals, a.precision)
-    constant = all(d.exact and d.bound == expected for d in w_dists)
+    constant = all(d == step for d in w_dists)
     return RigidityReport(
-        a=a,
-        glued_offset=fbar,
         u_valuations=u_vals,
         w_distances=w_dists,
-        expected_distance=expected,
+        step_valuation=step,
         valuations_march=march,
         distances_constant=constant,
     )

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 SCHEMA = "liftlab-report/1"
 
 VERDICTS = ("pass", "fail", "witness-found", "no-witness-at-horizon")
+PASSING_VERDICTS = ("pass", "witness-found")  # exit status 0; the rest exit 1
 
 
 @dataclass

@@ -3,8 +3,8 @@
 Binary words are plain ASCII 0/1 strings. A :class:`CentralWord` is a finite
 window of a two-sided sequence, indexed -m..m-1 around the origin; the
 two-sided base point ``omega0`` is the Thue-Morse sequence preceded by its
-own reversal. The metric on windows is 2^-(innermost disagreement), with
-full agreement reported only as a bound, matching the working resolution.
+own reversal. The metric on windows is 2^-v with v the innermost ring of
+disagreement; ``word_metric`` returns v, and the radius when windows agree.
 
 Witness searches here are deterministic scans. They can only ever produce
 evidence at a stated depth and horizon, or bounded-horizon absence; neither
@@ -21,14 +21,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from random import Random
 
 from .lifting import (
     MonodromySystem, TowerModel, cycle_lengths, orbit_partition, tower_strictness_check,
 )
-from .ultrametric import Distance, bounded_distance, exact_distance
 
 
 class WindowError(ValueError):
@@ -124,14 +122,14 @@ def truncate_window(x: CentralWord, radius: int) -> CentralWord:
     return CentralWord(radius, x.symbols[lo : lo + 2 * radius])
 
 
-def word_metric(x: CentralWord, y: CentralWord) -> Distance:
-    """2^-(smallest |n| with x_n != y_n); a bound if the windows agree."""
+def word_metric(x: CentralWord, y: CentralWord) -> int:
+    """Smallest v with x_v != y_v or x_-v-1 != y_-v-1, else the radius."""
     if x.radius != y.radius:
         raise WindowError(f"radius mismatch: {x.radius} vs {y.radius}")
     for v in range(x.radius):
         if x[v] != y[v] or x[-v - 1] != y[-v - 1]:
-            return exact_distance(2, v)
-    return bounded_distance(2, x.radius)
+            return v
+    return x.radius
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +190,21 @@ def max_recurrence_gap(word: str, length: int) -> tuple[int, str]:
 
 @dataclass(frozen=True)
 class OrbitPairWitness:
-    """Two distinct windows and a shift exhibiting approach or separation."""
+    """Two distinct windows and a shift exhibiting approach or separation.
+
+    The distances are ``word_metric`` exponents: of x and y, and of their
+    copies shifted by ``shift_by``. Both are exact, below the radius compared.
+    The start is, as x != y. A separation ends at <= 1, and a shifted radius
+    is >= 2. A proximal pair was short of depth at the shift one step before
+    (|t| - 1, same sign), a step moves a disagreement by at most one ring,
+    and a shifted radius is >= depth + 1.
+    """
 
     x: CentralWord
     y: CentralWord
     shift_by: int
-    start_distance: Distance
-    end_distance: Distance
+    start_distance: int
+    end_distance: int
 
 
 def omega0_windows(radius: int, count: int) -> list[CentralWord]:
@@ -237,7 +243,6 @@ def proximal_search(
             f"windows of radius {windows[0].radius} cannot shift by {horizon} "
             f"and still certify depth {depth}"
         )
-    target = Fraction(1, 2**depth)
     shifts = _signed_shifts(horizon, include_zero=True)
     for i, j in itertools.combinations(range(len(windows)), 2):
         x, y = windows[i], windows[j]
@@ -246,7 +251,7 @@ def proximal_search(
         for t in shifts:
             xs, ys = shift(x, t), shift(y, t)
             d = word_metric(xs, ys)
-            if d.at_most(target):
+            if d >= depth:
                 return OrbitPairWitness(x, y, t, word_metric(x, y), d)
     return None
 
@@ -264,7 +269,6 @@ def non_equicontinuity_witness(
             f"windows of radius {windows[0].radius} cannot shift by {horizon} "
             f"and still certify depth {depth}"
         )
-    half = Fraction(1, 2)
     # Pairs must agree to the requested depth first; bucket on the central block.
     buckets: dict[str, list[int]] = {}
     for idx, w in enumerate(windows):
@@ -277,11 +281,11 @@ def non_equicontinuity_witness(
             if x == y:
                 continue
             start = word_metric(x, y)
-            if not start.at_most(Fraction(1, 2**depth)):
+            if start < depth:
                 continue
             for t in shifts:
                 d = word_metric(shift(x, t), shift(y, t))
-                if d.at_least(half):
+                if d <= 1:
                     return OrbitPairWitness(x, y, t, start, d)
     return None
 

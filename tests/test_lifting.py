@@ -186,15 +186,30 @@ class TestOrbits:
     def test_closure_solenoid_single_orbit(self):
         # solenoid_level carries no metric; give its fibre the 2-adic one
         level = solenoid_level(2, 4)
-        sys = MonodromySystem(
-            level.fibre,
-            level.actions,
-            metric=lambda x, y: Fraction(0)
-            if x == y
-            else padic_distance(TruncatedPadic(2, 4, x), TruncatedPadic(2, 4, y)).bound,
-        )
+
+        def metric(x, y):
+            v = padic_distance(TruncatedPadic(2, 4, x), TruncatedPadic(2, 4, y))
+            return Fraction(0) if x == y else Fraction(1, 2**v)
+
+        sys = MonodromySystem(level.fibre, level.actions, metric=metric)
         orbit = orbit_partition(sys)[0]
         assert orbit_closure(sys, orbit) == orbit
+
+    def test_closure_measures_each_pair_once(self):
+        spiral = spiral_system(6)
+        seen = []
+
+        def metric(p, q):
+            seen.append((p, q))
+            return spiral.metric(p, q)
+
+        sys = MonodromySystem(spiral.fibre, spiral.actions, metric, spiral.clamped)
+        orbit = max(orbit_partition(sys), key=len)
+        assert orbit_closure(sys, orbit) == orbit_closure(spiral, orbit)
+        outside = [p for p in sys.fibre if p not in set(orbit)]
+        assert sorted(seen, key=repr) == sorted(
+            itertools.product(outside, orbit), key=repr
+        )
 
     def test_closure_requires_metric(self):
         for sys in (random_permutation_system(3, 5), solenoid_level(2, 4)):

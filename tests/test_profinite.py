@@ -1,5 +1,6 @@
 """Truncated p-adic arithmetic against big-integer oracles, and the glue code."""
 
+import dataclasses
 import itertools
 import re
 from fractions import Fraction
@@ -94,6 +95,15 @@ class TestArithmetic:
             TruncatedPadic(2, 3, 8)
         with pytest.raises(ValueError):
             TruncatedPadic(2, 0, 0)
+        with pytest.raises(ValueError):
+            TruncatedPadic(3, 2, -1)
+
+    def test_modulus_is_stored_but_not_a_field(self):
+        x = TruncatedPadic(3, 4, 5)
+        assert x.modulus == 81
+        assert [f.name for f in dataclasses.fields(x)] == ["base", "precision", "residue"]
+        assert x == TruncatedPadic(3, 4, 5) and hash(x) == hash(TruncatedPadic(3, 4, 5))
+        assert dataclasses.replace(x, precision=2, residue=8).modulus == 9
 
     @settings(deadline=None, max_examples=150)
     @given(padic_pairs(), st.integers(-(2**32), 2**32))
@@ -120,41 +130,45 @@ class TestArithmetic:
 
 class TestValuationDistance:
     def test_valuation_examples(self):
-        v = padic_valuation(TruncatedPadic(2, 4, 0))
-        assert v.saturated and v.digits == 4
-        assert padic_valuation(TruncatedPadic(2, 4, 12)).digits == 2
-        assert padic_valuation(TruncatedPadic(3, 3, 9)).digits == 2
+        # zero saturates at the precision: only v >= 4 is certified
+        assert padic_valuation(TruncatedPadic(2, 4, 0)) == 4
+        assert padic_valuation(TruncatedPadic(2, 4, 12)) == 2
+        assert padic_valuation(TruncatedPadic(3, 3, 9)) == 2
 
     def test_base_two_every_valuation_to_1024(self):
         rng = Random(12)
         for v in range(1024):
             residue = (2 * rng.randrange(2 ** (1023 - v)) + 1) << v
             got = padic_valuation(TruncatedPadic(2, 1024, residue))
-            assert (got.digits, got.saturated) == oracle_valuation(residue, 2, 1024)
+            assert (got, got == 1024) == oracle_valuation(residue, 2, 1024)
 
     @settings(deadline=None, max_examples=150)
     @given(st.one_of(padics(), padics(bases=(2,), max_precision=1024)))
     def test_valuation_oracle(self, x):
         v = padic_valuation(x)
         digits, saturated = oracle_valuation(x.residue, x.base, x.precision)
-        assert (v.digits, v.saturated) == (digits, saturated)
+        # the precision is reached exactly when the residue vanishes
+        assert (v, v == x.precision) == (digits, saturated)
 
     def test_distance_examples(self):
-        d = padic_distance(TruncatedPadic(2, 4, 1), TruncatedPadic(2, 4, 5))
-        assert d.exact and d.bound == Fraction(1, 4)
-        d0 = padic_distance(TruncatedPadic(3, 3, 0), TruncatedPadic(3, 3, 2))
-        assert d0.exact and d0.bound == 1
+        # exponents v of base^-v; below the precision they are exact
+        assert padic_distance(TruncatedPadic(2, 4, 1), TruncatedPadic(2, 4, 5)) == 2
+        assert padic_distance(TruncatedPadic(3, 3, 0), TruncatedPadic(3, 3, 2)) == 0
         x = TruncatedPadic(2, 7, 99)
-        same = padic_distance(x, x)
-        assert not same.exact and same.bound == Fraction(1, 128)
+        # agreement to full precision certifies only d(x, x) <= 2^-7
+        assert padic_distance(x, x) == 7
+        with pytest.raises(IncompatibleOperands):
+            padic_distance(x, TruncatedPadic(2, 8, 99))
 
     @settings(deadline=None, max_examples=100)
     @given(padics(max_precision=24), st.data())
     def test_ultrametric_inequality(self, x, data):
         y = TruncatedPadic(x.base, x.precision, data.draw(st.integers(0, x.modulus - 1)))
         z = TruncatedPadic(x.base, x.precision, data.draw(st.integers(0, x.modulus - 1)))
-        dxz = padic_distance(x, z).bound
-        assert dxz <= max(padic_distance(x, y).bound, padic_distance(y, z).bound)
+        # d(x,z) <= max(d(x,y), d(y,z)) on exponents: v(x,z) >= min(v(x,y), v(y,z))
+        vxz = padic_distance(x, z)
+        assert vxz >= min(padic_distance(x, y), padic_distance(y, z))
+        assert padic_distance(x, y) == padic_distance(y, x) <= x.precision
 
 
 class TestProjection:
@@ -325,14 +339,16 @@ class TestRigidity:
 
     def test_unit_valuations_march_from_zero(self):
         report = rigidity_witness(TruncatedPadic(2, 32, 1), 10)
-        assert [v.digits for v in report.u_valuations] == list(range(10))
+        assert list(report.u_valuations) == list(range(10))
         assert report.valuations_march
 
     def test_unit_glue_distance_is_one(self):
         # a = 1: decode("100...") starts with ternary digit 2, a unit.
         report = rigidity_witness(TruncatedPadic(2, 32, 1), 10)
-        assert report.expected_distance == 1
-        assert all(d.exact and d.bound == 1 for d in report.w_distances)
+        fbar = normalized_glue(TruncatedPadic(2, 32, 1))
+        # distance 3^0 = 1, exact: the exponent is below the ternary precision
+        assert report.step_valuation == 0 < fbar.precision
+        assert all(d == 0 for d in report.w_distances)
         assert report.diverges
 
     def test_unit_offsets_brute_force(self):
@@ -346,8 +362,8 @@ class TestRigidity:
         # high valuation start saturates within the window and stays saturated
         a = TruncatedPadic(2, 8, 2**6)
         report = rigidity_witness(a, 6)
-        digits = [v.digits for v in report.u_valuations]
-        flags = [v.saturated for v in report.u_valuations]
+        digits = list(report.u_valuations)
+        flags = [v == a.precision for v in report.u_valuations]
         assert digits == [6, 7, 8, 8, 8, 8]
         assert flags == [False, False, True, True, True, True]
         assert report.valuations_march
@@ -358,7 +374,7 @@ class TestRigidity:
             a = TruncatedPadic(2, 64, rng.randrange(1, 2**64))
             report = rigidity_witness(a, 30)
             assert report.diverges
-            assert len(set(d.bound for d in report.w_distances)) == 1
+            assert len(set(report.w_distances)) == 1
 
     def test_normalized_glue_matches_definition(self):
         a = TruncatedPadic(2, 16, 12345)

@@ -236,6 +236,20 @@ class TestReportShape:
         assert doc["payload"]["word"] == "01101001"
         assert doc["claim"] == CLAIMS["mt-generate"]
 
+    def test_saturated_valuations_render_as_lower_bounds(self):
+        # at precision 3 a doubling orbit reaches 0 mod 2^3 within 5 steps;
+        # the truncation then certifies only valuation >= 3
+        report = run(ExperimentConfig(
+            experiment="amalgam-rigidity", seed=3, precision=3, depth=5, words=10))
+        rows = report.payload["samples"]
+        for row in rows:
+            start = row["a"].index("1")  # digits are least significant first
+            climb = (min(start + i, 3) for i in range(5))
+            assert row["binary_valuations"] == [
+                ">=3" if v == 3 else str(v) for v in climb
+            ]
+        assert all(row["binary_valuations"][-1] == ">=3" for row in rows)
+
     def test_seed_echoed(self):
         report = run(
             ExperimentConfig(experiment="amalgam-rigidity", seed=5, words=2, depth=5)

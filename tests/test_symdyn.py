@@ -2,7 +2,6 @@
 
 import tracemalloc
 from collections import Counter
-from fractions import Fraction
 from math import gcd, lcm
 from random import Random
 
@@ -132,19 +131,17 @@ class TestWindows:
                 CentralWord(2, symbols)
 
     def test_metric_examples(self):
+        # exponents v of 2^-v; full agreement certifies only d(x, x) <= 2^-8
         x = omega0(8)
-        same = word_metric(x, x)
-        assert not same.exact and same.bound == Fraction(1, 256)
+        assert word_metric(x, x) == 8
         flipped_center = CentralWord(
             8, x.symbols[:8] + ("1" if x[0] == "0" else "0") + x.symbols[9:]
         )
-        d = word_metric(x, flipped_center)
-        assert d.exact and d.bound == 1
+        assert word_metric(x, flipped_center) == 0
         flipped_three = CentralWord(
             8, x.symbols[:11] + ("1" if x[3] == "0" else "0") + x.symbols[12:]
         )
-        d3 = word_metric(x, flipped_three)
-        assert d3.exact and d3.bound == Fraction(1, 8)
+        assert word_metric(x, flipped_three) == 3
 
     def test_metric_radius_mismatch(self):
         with pytest.raises(WindowError):
@@ -160,10 +157,11 @@ class TestWindows:
             return CentralWord(radius, "".join(bits))
 
         x, y, z = window(), window(), window()
-        assert word_metric(x, y).bound == word_metric(y, x).bound
-        assert word_metric(x, z).bound <= max(
-            word_metric(x, y).bound, word_metric(y, z).bound
-        )
+        assert word_metric(x, y) == word_metric(y, x)
+        # d(x,z) <= max(d(x,y), d(y,z)) on exponents: v(x,z) >= min(v(x,y), v(y,z))
+        assert word_metric(x, z) >= min(word_metric(x, y), word_metric(y, z))
+        # the radius is reached exactly when the windows agree
+        assert (word_metric(x, y) == radius) == (x == y)
 
 
 def oracle_factors(word: str, length: int) -> set[str]:
@@ -271,9 +269,8 @@ class TestWitnessSearches:
         windows = omega0_windows(64 + 4 + 2, 128)
         w = proximal_search(windows, 4, 64)
         assert w is not None
-        assert word_metric(shift(w.x, w.shift_by), shift(w.y, w.shift_by)).at_most(
-            Fraction(1, 16)
-        )
+        # d <= 1/16 on exponents: v >= 4
+        assert word_metric(shift(w.x, w.shift_by), shift(w.y, w.shift_by)) >= 4
 
     def test_proximal_none_for_swapped_constants(self):
         m = 8
@@ -286,11 +283,27 @@ class TestWitnessSearches:
             windows = omega0_windows(horizon + max(depth, 2) + 1, 256)
             w = non_equicontinuity_witness(windows, depth, horizon)
             assert w is not None, f"no separation witness at depth {depth}"
-            assert w.start_distance.at_most(Fraction(1, 2**depth))
-            assert w.end_distance.at_least(Fraction(1, 2))
-            # re-verify the reported shift directly
-            d = word_metric(shift(w.x, w.shift_by), shift(w.y, w.shift_by))
-            assert d.at_least(Fraction(1, 2))
+            # d <= 2^-depth and d >= 1/2 on exponents: v >= depth and v <= 1
+            assert w.start_distance >= depth
+            assert w.end_distance <= 1
+            # re-verify the reported shift directly; below the radius is exact
+            xs = shift(w.x, w.shift_by)
+            d = word_metric(xs, shift(w.y, w.shift_by))
+            assert d <= 1 and d < xs.radius
+
+    def test_witness_distances_are_exact_at_every_depth(self):
+        # mt-dynamics windows at depths 1..7: no witness distance is a bound
+        for depth in range(1, 8):
+            horizon = 2 ** (depth + 4)
+            windows = omega0_windows(horizon + max(depth, 2) + 1, 192)
+            for w in (
+                proximal_search(windows, depth, horizon),
+                non_equicontinuity_witness(windows, depth, horizon),
+            ):
+                assert w is not None, f"no witness at depth {depth}"
+                radius = w.x.radius
+                assert w.start_distance < radius
+                assert w.end_distance < radius - abs(w.shift_by)
 
     def test_separation_none_for_single_window(self):
         windows = [omega0(16)]
