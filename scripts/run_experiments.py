@@ -15,7 +15,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from liftlab.experiments import SPECS, ExperimentConfig, run  # noqa: E402
+from liftlab.experiments import SPECS, ExperimentConfig, UsageError, run  # noqa: E402
 from liftlab.reports import PASSING_VERDICTS  # noqa: E402
 
 
@@ -24,14 +24,21 @@ def main() -> int:
     parser.add_argument("--out-dir", default="out")
     parser.add_argument("--seed", type=int, default=20260808)
     args = parser.parse_args()
+    try:
+        configs = [
+            ExperimentConfig(experiment=name, seed=args.seed if spec.seeded else None)
+            for name, spec in SPECS.items()
+        ]
+    except UsageError as err:  # a bad seed stops the battery before any report
+        parser.exit(2, f"error: {err}\n")
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     failures = 0
-    for name, spec in SPECS.items():
-        seed = args.seed if spec.seeded else None
-        report = run(ExperimentConfig(experiment=name, seed=seed))
+    for config in configs:
+        name = config.experiment
+        report = run(config)
         path = out_dir / f"{name}.json"
         path.write_text(report.to_json(), encoding="utf-8")
         ok = report.verdict in PASSING_VERDICTS

@@ -507,8 +507,8 @@ SPECS: dict[str, Spec] = {
         "iterate, so the modulus is the identity; defective towers are "
         "rejected at construction.",
         {
-            "level": Knob(int, 8, high=12, why="the modulus table scans pairs in "
-                          "fibres of up to 2^level points"),
+            "level": Knob(int, 8, high=12, why="the cyclic tower's top level "
+                          "has 2^level points, each stepped once"),
             "words": Knob(int, 20, high=1000, why="the report holds one random "
                           "tower's modulus check per word"),
         },

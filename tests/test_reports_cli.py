@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -54,6 +55,9 @@ BOUNDED_KNOBS = [
     ("amalgam-deck", "precision", 10),
     ("covers-obstruction", "max_degree", 12),
 ]
+
+
+BATTERY = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "run_experiments.py"
 
 
 def run_cli(*args):
@@ -368,6 +372,20 @@ class TestCli:
         assert result.returncode == 2
         assert result.stderr.startswith("error: ")
         assert result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_battery_rejects_a_bad_seed_before_any_report(self, tmp_path, seed):
+        out_dir = tmp_path / "reports"
+        result = subprocess.run(
+            [sys.executable, str(BATTERY), "--seed", seed, "--out-dir", str(out_dir)],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 2
+        assert result.stderr == "error: --seed must fit in 64 bits\n"
+        assert result.stdout == ""
+        assert not out_dir.exists() or not any(out_dir.iterdir())
 
     def test_mistyped_config_value_usage_error(self, tmp_path):
         config = tmp_path / "config.json"

@@ -67,6 +67,16 @@ class TestGenerators:
         assert mt_prefix(10) == oracle_thue_morse(10)
         assert mt_prefix(1000) == oracle_thue_morse(1000)
 
+    def test_block_parity_and_interleave_match_oracle(self):
+        # the parity word is built 256 symbols at a time, so probe either side
+        # of block edges, and lengths whose block index has either digit parity
+        rng = Random(20260808)
+        edges = [0, 1, 255, 256, 257, 511, 512, 513, 4095, 4096, 4097]
+        for length in edges + [rng.randint(0, 70_000) for _ in range(20)]:
+            assert popcount_parity_prefix(length) == oracle_thue_morse(length), length
+        for n in range(17):
+            assert mt_substitution(n) == oracle_thue_morse(2**n)
+
     def test_generators_allocate_no_object_per_symbol(self):
         # a list of one object per symbol costs 8 bytes a symbol; the string
         # itself costs one, so a 2**20 prefix must peak well under 4 MiB
@@ -318,6 +328,58 @@ def strict(tower: TowerModel) -> StrictTower:
     return StrictTower(tower.levels, tower.bonds)
 
 
+def all_powers_modulus(tower: StrictTower) -> list[dict] | None:
+    """Check every power of the step up to its order, on every fibre member.
+
+    The table ``equicontinuity_modulus`` should return, or None where some
+    power of the step moves two points of one fibre over different points.
+    """
+    table = []
+    for n in range(1, len(tower.levels) + 1):
+        if n == len(tower.levels):
+            top = tower.levels[n - 1]
+            table.append({
+                "level": n, "delta_level": n, "pairs_checked": len(top.fibre),
+                "powers_checked": lcm(*cycle_lengths(top.actions["a"])),
+            })
+            continue
+        upper, bond = tower.levels[n], tower.bonds[n - 1]
+        step = upper.actions["a"]
+        fibres: dict = {}
+        for p in upper.fibre:
+            fibres.setdefault(bond[p], []).append(p)
+        order = lcm(*cycle_lengths(step))
+        pairs = 0
+        for members in fibres.values():
+            # same bond image at every power is an equivalence relation, so
+            # comparing with the first member covers every ordered pair
+            x, *rest = members
+            images = []
+            for _ in range(order):
+                x = step[x]
+                images.append(bond[x])
+            for y in rest:
+                for image in images:
+                    y = step[y]
+                    if bond[y] != image:
+                        return None
+            pairs += len(members) ** 2
+        table.append(
+            {"level": n, "delta_level": n, "pairs_checked": pairs, "powers_checked": order}
+        )
+    return table
+
+
+class CountingDict(dict):
+    """A step table that counts its lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
 class TestFiniteZSystems:
     """Finite Z-systems are one-petal monodromy systems; the step is the petal."""
 
@@ -407,6 +469,46 @@ class TestStrictTowers:
         tower.bonds[0][4] = 1
         with pytest.raises(AssertionError, match="agreement not preserved"):
             equicontinuity_modulus(tower)
+
+    def test_one_step_modulus_equals_the_all_powers_check(self):
+        # random and cyclic towers, and copies with one bond entry moved after
+        # construction; a moved entry may or may not break agreement
+        towers = [random_strict_tower(seed) for seed in range(200)]
+        towers += [strict(solenoid_tower(2, level)) for level in range(1, 9)]
+        rng = Random(3)
+        for _ in range(300):
+            if rng.random() < 0.5:
+                tower = random_strict_tower(rng.randrange(200))
+            else:
+                tower = strict(solenoid_tower(2, rng.randint(2, 6)))
+            i = rng.randrange(len(tower.bonds))
+            point = rng.choice(tower.levels[i + 1].fibre)
+            tower.bonds[i][point] = rng.choice(tower.levels[i].fibre)
+            towers.append(tower)
+        outcomes = Counter()
+        for tower in towers:
+            expected = all_powers_modulus(tower)
+            if expected is None:
+                with pytest.raises(AssertionError, match="agreement not preserved"):
+                    equicontinuity_modulus(tower)
+            else:
+                assert equicontinuity_modulus(tower) == expected
+            outcomes[expected is None] += 1
+        assert outcomes[True] > 50 and outcomes[False] > 250
+
+    def test_modulus_work_is_linear_in_the_fibres(self):
+        # per row, one step lookup per upper point for the check and one for
+        # the order's cycle walk (the top row walks the top level only);
+        # checking every power of the step takes |fibre|^2 at the cyclic top
+        for tower in [strict(solenoid_tower(2, 8))] + [
+            random_strict_tower(seed) for seed in range(5)
+        ]:
+            for level in tower.levels:
+                level.actions["a"] = CountingDict(level.actions["a"])
+            equicontinuity_modulus(tower)
+            uppers = tower.levels[1:] + tower.levels[-1:]
+            lookups = sum(level.actions["a"].lookups for level in tower.levels)
+            assert lookups <= 2 * sum(len(upper.fibre) for upper in uppers)
 
     def test_modulus_reads_the_given_petal(self):
         # the squaring tower with one circle kept as petal a: circle j flips
