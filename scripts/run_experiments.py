@@ -5,45 +5,42 @@ Usage: python scripts/run_experiments.py [--out-dir out] [--seed 20260808]
 
 Seeded experiments all use the one seed given here; reports land in the
 output directory as <experiment>.json and a one-line verdict summary is
-printed per experiment.
+printed per experiment. Exit status is that of ``liftlab`` (0, 1, or 2 with
+one error line); every config and the output directory are checked first.
 """
 
-import argparse
-import json
 import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from liftlab.experiments import SPECS, ExperimentConfig, UsageError, run  # noqa: E402
+from liftlab import cli  # noqa: E402
+from liftlab.experiments import SPECS, ExperimentConfig, run  # noqa: E402
 from liftlab.reports import PASSING_VERDICTS  # noqa: E402
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+def main(argv: list[str] | None = None) -> int:
+    parser = cli.Parser(description=__doc__)
     parser.add_argument("--out-dir", default="out")
     parser.add_argument("--seed", type=int, default=20260808)
-    args = parser.parse_args()
+    failures = 0
     try:
+        args = parser.parse_args(argv)
         configs = [
             ExperimentConfig(experiment=name, seed=args.seed if spec.seeded else None)
             for name, spec in SPECS.items()
         ]
-    except UsageError as err:  # a bad seed stops the battery before any report
-        parser.exit(2, f"error: {err}\n")
-
-    out_dir = pathlib.Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    failures = 0
-    for config in configs:
-        name = config.experiment
-        report = run(config)
-        path = out_dir / f"{name}.json"
-        path.write_text(report.to_json(), encoding="utf-8")
-        ok = report.verdict in PASSING_VERDICTS
-        failures += 0 if ok else 1
-        print(f"{name:24s} {report.verdict:22s} {report.wall_time_s:8.2f}s  -> {path}")
+        out_dir = pathlib.Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for config in configs:
+            name = config.experiment
+            report = run(config)
+            path = out_dir / f"{name}.json"
+            path.write_text(report.to_json(), encoding="utf-8")
+            failures += report.verdict not in PASSING_VERDICTS
+            print(f"{name:24s} {report.verdict:22s} {report.wall_time_s:8.2f}s  -> {path}")
+    except (OSError, ValueError) as err:
+        return cli.usage_error(err)
     return 1 if failures else 0
 
 

@@ -42,14 +42,20 @@ def _epilog() -> str:
     return "\n".join(lines)
 
 
-class _Parser(argparse.ArgumentParser):
+class Parser(argparse.ArgumentParser):
     def error(self, message: str):
         """A malformed command line is a usage error like any other."""
         raise UsageError(message)
 
 
+def usage_error(err: Exception) -> int:
+    """Print a usage error or an unusable path as one stderr line; exit status 2."""
+    print("error:", " ".join(str(err).splitlines()), file=sys.stderr)
+    return 2
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = Parser(
         prog="liftlab",
         description="Run one named experiment and print its JSON report.",
         epilog=_epilog(),
@@ -97,8 +103,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(config.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
     except (OSError, ValueError) as err:
-        print("error:", " ".join(str(err).splitlines()), file=sys.stderr)
-        return 2
+        return usage_error(err)
     sys.stdout.write(text)
     return 0 if report.verdict in PASSING_VERDICTS else 1
 

@@ -3,12 +3,13 @@
 ``SPECS`` declares each experiment once: its runner, its claim, whether it
 draws random samples, and its knobs with their types, defaults and bounds.
 Config validation, the command line flags, ``--help`` and the config echoed
-into each report all read it. A runner receives resolved knob values (and
-the seed, if it draws samples), computes a deterministic payload, and
-returns it with a verdict from the closed vocabulary. Randomized runners
-derive every sample from the seed; nothing reads ambient randomness or the
-clock (wall time is measured by the orchestrator, outside the deterministic
-region).
+into each report all read it. ``ExperimentConfig`` checks a config's keys,
+types, seed and bounds and applies its defaults when it is built, before any
+work starts. A runner receives the echoed knob values (and the seed, if it
+draws samples), computes a deterministic payload, and returns it with a
+verdict from the closed vocabulary. Randomized runners derive every sample
+from the seed; nothing reads ambient randomness or the clock (wall time is
+measured by the orchestrator, outside the deterministic region).
 """
 
 from __future__ import annotations
@@ -612,12 +613,16 @@ def flag(name: str) -> str:
 
 
 class ExperimentConfig:
-    """One run: the experiment, and its ``seed``, ``out`` and knobs as given.
+    """One run: the experiment, its ``out`` path, and the config its report echoes.
 
-    The checks here hold for every experiment: known keys and name, types,
-    a floor of 1 on numeric knobs, a 64-bit seed, and a seed for experiments
-    that draw samples. A key given as None counts as not given. Each
-    experiment's defaults and bounds are applied by ``resolve``.
+    Every check of keys, types, seed and bounds happens here, once, before
+    any work starts: known keys and name, types, a floor of 1 on numeric
+    knobs, a 64-bit seed, a seed for experiments that draw samples, then the
+    bounds of each declared knob once its default is applied. A key given as
+    None counts as not given. ``echoed`` holds the declared knobs and any seed
+    given; an undeclared knob is accepted and not echoed. A runner raises
+    UsageError for what only it can check: a loop word, a fibre point,
+    ``--level`` against ``--circles``.
     """
 
     def __init__(self, /, experiment: str | None = None, **given) -> None:
@@ -638,48 +643,37 @@ class ExperimentConfig:
                 raise UsageError(f"{flag(key)} must be {what}, not {value!r}")
             if type(value) is int and key != "seed" and value < 1:
                 raise UsageError(f"{flag(key)} must be >= 1")
-        self.experiment = experiment
-        self.seed: int | None = given.pop("seed", None)
-        self.out: str | None = given.pop("out", None)
-        self.knobs = given
-        if self.seed is not None and not 0 <= self.seed < 2**64:
+        seed = given.get("seed")
+        if seed is not None and not 0 <= seed < 2**64:
             raise UsageError("--seed must fit in 64 bits")
-        if SPECS[experiment].seeded and self.seed is None:
+        spec = SPECS[experiment]
+        if spec.seeded and seed is None:
             raise UsageError(
                 f"experiment {experiment} draws random samples; --seed is mandatory"
             )
-
-
-def resolve(config: ExperimentConfig) -> dict:
-    """The config a report echoes: each knob given or defaulted, and any seed.
-
-    Raises UsageError for a value outside its bounds, before any work starts.
-    """
-    resolved: dict = {}
-    for name, knob in SPECS[config.experiment].knobs.items():
-        default = knob.default
-        if callable(default):
-            default = default(resolved)
-        value = config.knobs.get(name, default)
-        reason = f": {knob.why}" if knob.why else ""
-        if knob.low is not None and value < knob.low:
-            raise UsageError(f"{flag(name)} must be >= {knob.low}{reason}")
-        if knob.high is not None and value > knob.high:
-            raise UsageError(f"{flag(name)} is supported up to {knob.high}{reason}")
-        resolved[name] = value
-    if config.seed is not None:
-        resolved["seed"] = config.seed
-    return resolved
+        echoed: dict = {}
+        for name, knob in spec.knobs.items():
+            default = knob.default(echoed) if callable(knob.default) else knob.default
+            value = given.get(name, default)
+            reason = f": {knob.why}" if knob.why else ""
+            if knob.low is not None and value < knob.low:
+                raise UsageError(f"{flag(name)} must be >= {knob.low}{reason}")
+            if knob.high is not None and value > knob.high:
+                raise UsageError(f"{flag(name)} is supported up to {knob.high}{reason}")
+            echoed[name] = value
+        if seed is not None:
+            echoed["seed"] = seed
+        self.experiment = experiment
+        self.out: str | None = given.get("out")
+        self.echoed = echoed
 
 
 def run(config: ExperimentConfig) -> Report:
     """Execute one experiment and assemble its report."""
     spec = SPECS[config.experiment]
-    resolved = resolve(config)
-    args = {name: resolved[name] for name in spec.knobs}
-    if spec.seeded:
-        args["seed"] = config.seed
+    keys = [*spec.knobs, "seed"] if spec.seeded else spec.knobs
+    args = {key: config.echoed[key] for key in keys}
     started = perf_counter()
     verdict, payload = spec.runner(**args)
     elapsed = perf_counter() - started
-    return Report(config.experiment, resolved, spec.claim, verdict, payload, elapsed)
+    return Report(config.experiment, config.echoed, spec.claim, verdict, payload, elapsed)

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import importlib.util
 import io
 import json
 import os
@@ -23,7 +24,6 @@ from liftlab.experiments import (
     ExperimentConfig,
     UsageError,
     flag,
-    resolve,
     run,
 )
 from liftlab.lifting import solenoid_level, system_to_json
@@ -63,6 +63,15 @@ BATTERY = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "run_expe
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "liftlab", *args],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def run_battery(*args):
+    return subprocess.run(
+        [sys.executable, str(BATTERY), *args],
         capture_output=True,
         text=True,
         timeout=300,
@@ -113,7 +122,12 @@ class TestSpecs:
         for name, kind in types.items():
             value = 1 if kind is int else "x"
             config = ExperimentConfig(experiment="mt-generate", **{name: value})
-            assert {"seed": config.seed, "out": config.out, **config.knobs}[name] == value
+            if name == "out":
+                assert config.out == value
+            elif name == "seed" or name in SPECS["mt-generate"].knobs:
+                assert config.echoed[name] == value
+            else:  # accepted, and not echoed by an experiment that ignores it
+                assert name not in config.echoed
         for name in ("config", "bogus"):
             with pytest.raises(UsageError, match="unknown config keys"):
                 ExperimentConfig(experiment="mt-generate", **{name: 1})
@@ -121,10 +135,10 @@ class TestSpecs:
     def test_empty_config_echoes_declared_knobs(self):
         for name, spec in SPECS.items():
             seed = 7 if spec.seeded else None
-            echoed = resolve(ExperimentConfig(experiment=name, seed=seed))
+            echoed = ExperimentConfig(experiment=name, seed=seed).echoed
             seeded = {"seed"} if spec.seeded else set()
             assert set(echoed) == set(spec.knobs) | seeded, name
-        assert resolve(ExperimentConfig(experiment="mt-dynamics", depth=5))["horizon"] == 512
+        assert ExperimentConfig(experiment="mt-dynamics", depth=5).echoed["horizon"] == 512
 
 
 class TestResourceBounds:
@@ -149,7 +163,7 @@ class TestResourceBounds:
         high = spec.knobs[knob].high
         assert high is not None and high >= largest_in_use
         seed = 1 if spec.seeded else None
-        resolve(ExperimentConfig(experiment=experiment, seed=seed, **{knob: high}))
+        ExperimentConfig(experiment=experiment, seed=seed, **{knob: high})
 
         def refuse(**_):
             raise AssertionError("the runner was called with an oversized knob")
@@ -157,6 +171,10 @@ class TestResourceBounds:
         monkeypatch.setitem(SPECS, experiment, dataclasses.replace(spec, runner=refuse))
         with pytest.raises(UsageError, match="is supported up to"):
             run(ExperimentConfig(experiment=experiment, seed=seed, **{knob: high + 1}))
+
+    def test_bounds_are_checked_at_construction(self):
+        with pytest.raises(UsageError, match="is supported up to 22"):
+            ExperimentConfig(experiment="mt-generate", level=23)
 
     @pytest.mark.parametrize("experiment, knob", [
         ("amalgam-deck", "precision"),
@@ -387,6 +405,32 @@ class TestCli:
         assert result.stdout == ""
         assert not out_dir.exists() or not any(out_dir.iterdir())
 
+    def test_battery_out_dir_naming_a_file_usage_error(self, tmp_path):
+        squatter = tmp_path / "reports"
+        squatter.write_text("not a directory")
+        result = run_battery("--out-dir", str(squatter))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1
+        assert result.stdout == ""
+        assert list(tmp_path.iterdir()) == [squatter]
+        assert squatter.read_text() == "not a directory"
+
+    def test_battery_non_integer_seed_usage_error(self, tmp_path):
+        result = run_battery("--seed", "abc", "--out-dir", str(tmp_path / "reports"))
+        assert result.returncode == 2
+        assert result.stderr == "error: argument --seed: invalid int value: 'abc'\n"
+        assert not (tmp_path / "reports").exists()
+
+    def test_battery_unwritable_report_usage_error(self, tmp_path):
+        # the last experiment's report path is taken by a directory
+        squatter = tmp_path / "reports" / f"{EXPERIMENTS[-1]}.json"
+        squatter.mkdir(parents=True)
+        result = run_battery("--out-dir", str(tmp_path / "reports"))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1
+
     def test_mistyped_config_value_usage_error(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"experiment": "mt-generate", "level": "3"}))
@@ -542,3 +586,64 @@ class TestExitContract:
             report = json.loads(out.getvalue())
             assert report["verdict"] == verdict
             assert code == (0 if verdict in ("pass", "witness-found") else 1)
+
+
+# ---------------------------------------------------------------------------
+# the same contract for the battery script
+
+
+def _load_battery():
+    spec = importlib.util.spec_from_file_location("run_experiments", BATTERY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _abbreviates_out_dir(token: str) -> bool:
+    option = token.split("=", 1)[0]
+    return len(option) > 2 and "--out-dir".startswith(option)
+
+
+# a junk token never names the output directory, so that every report lands
+# in the fresh directory the example runs in
+battery_junk = junk.filter(lambda token: not _abbreviates_out_dir(token))
+# "FRESH", "FILE" and "MISSING/nested" stand for paths in a fresh directory
+battery_pieces = st.one_of(
+    st.tuples(st.just("--seed"), st.one_of(
+        numbers, st.sampled_from(["0", str(2**64 - 1), str(2**64)]), battery_junk)),
+    st.tuples(st.just("--out-dir"), st.sampled_from(["FRESH", "FILE", "MISSING/nested"])),
+    st.tuples(battery_junk),
+)
+
+
+class TestBatteryExitContract:
+    battery = _load_battery()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pieces=st.lists(battery_pieces, max_size=4),
+        verdicts=st.lists(st.sampled_from(VERDICTS), min_size=len(SPECS),
+                          max_size=len(SPECS)),
+    )
+    def test_every_input_exits_0_1_or_2(self, pieces, verdicts):
+        """Exit 0 or 1 with a summary line per experiment, or exit 2 with one stderr line."""
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.chdir(tmp)  # the default --out-dir is relative
+            for (name, spec), verdict in zip(SPECS.items(), verdicts):
+                mp.setitem(SPECS, name, dataclasses.replace(
+                    spec, runner=lambda verdict=verdict, **_: (verdict, {})))
+            pathlib.Path("FILE").write_text("")
+            argv = [token for piece in pieces for token in piece]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = self.battery.main(argv)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        else:
+            assert err.getvalue() == ""
+            summary = [line.split()[:2] for line in out.getvalue().splitlines()]
+            assert summary == [list(pair) for pair in zip(SPECS, verdicts)]
+            passing = all(verdict in ("pass", "witness-found") for verdict in verdicts)
+            assert code == (0 if passing else 1)
