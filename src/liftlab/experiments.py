@@ -9,7 +9,9 @@ work starts. A runner receives the echoed knob values (and the seed, if it
 draws samples), computes a deterministic payload, and returns it with a
 verdict from the closed vocabulary. Randomized runners derive every sample
 from the seed; nothing reads ambient randomness or the clock (wall time is
-measured by the orchestrator, outside the deterministic region).
+measured by the orchestrator, outside the deterministic region). A model
+that a runner finds inconsistent (``lifting.InconsistentModel``) ends the run
+as ``fail``, with a payload naming the inconsistency.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def run_mt_dynamics(level: int, depth: int, horizon: int, words: int):
         "proximal": None if proximal is None else _witness_json(proximal),
         "separation": None if separation is None else _witness_json(separation),
     }
-    if period is not None:
+    if period is not None or gap is None:
         verdict = "fail"
     elif proximal is None or separation is None:
         verdict = "no-witness-at-horizon"
@@ -285,6 +287,24 @@ def run_covers_obstruction(max_degree: int):
     return ("pass" if ok else "fail"), payload
 
 
+def _deck_commutes_with_flips(n: int, deck, fibre) -> bool:
+    """Every deck translation commutes with every circle's flip at level n.
+
+    Stops at the first pair that does not commute. ``flip`` and
+    ``apply_deck`` are read from ``hawaiian`` when this function is called,
+    so wrappers installed on that module see every call.
+    """
+    flip, apply_deck = hawaiian.flip, hawaiian.apply_deck
+    circles = range(1, n + 1)
+    for delta in deck:
+        for eps in fibre:
+            for j in circles:
+                left = apply_deck(delta, flip(n, eps, j))
+                if left != flip(n, apply_deck(delta, eps), j):
+                    return False
+    return True
+
+
 def run_hawaiian_suite(circles: int, level: int, words: int, seed: int):
     if level > circles:
         raise UsageError("--level cannot exceed --circles")
@@ -311,14 +331,8 @@ def run_hawaiian_suite(circles: int, level: int, words: int, seed: int):
         deck = hawaiian.deck_group_hn(n)
         deck_ok = len(deck) == 2**n
         if n <= 8:
-            sys_n = hawaiian.hn_level(n, n)
-            deck_ok = deck_ok and all(
-                hawaiian.apply_deck(delta, hawaiian.flip(n, eps, j))
-                == hawaiian.flip(n, hawaiian.apply_deck(delta, eps), j)
-                for delta in deck
-                for eps in sys_n.fibre
-                for j in range(1, n + 1)
-            )
+            fibre = hawaiian.hn_level(n, n).fibre
+            deck_ok = deck_ok and _deck_commutes_with_flips(n, deck, fibre)
         row = {
             "level": n,
             "connected": connected,
@@ -674,6 +688,9 @@ def run(config: ExperimentConfig) -> Report:
     keys = [*spec.knobs, "seed"] if spec.seeded else spec.knobs
     args = {key: config.echoed[key] for key in keys}
     started = perf_counter()
-    verdict, payload = spec.runner(**args)
+    try:
+        verdict, payload = spec.runner(**args)
+    except lifting.InconsistentModel as err:
+        verdict, payload = "fail", {"inconsistent_model": str(err)}
     elapsed = perf_counter() - started
     return Report(config.experiment, config.echoed, spec.claim, verdict, payload, elapsed)

@@ -22,14 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lifting import LoopWord, MonodromySystem, TowerModel, deck_search
+from .lifting import (
+    InconsistentModel, LoopWord, MonodromySystem, TowerModel, deck_search,
+)
 
 SignVector = int
 ALL_PLUS: SignVector = 0  # + at every coordinate: the base point of every level
-
-
-def _bit(level: int, circle: int) -> int:
-    return 1 << (level - circle)
 
 
 def sign_string(level: int, vector: SignVector) -> str:
@@ -43,7 +41,7 @@ def all_sign_vectors(n: int) -> range:
 def random_sign_vector(rng, level: int) -> SignVector:
     """One seeded sign per coordinate, coordinate 1 first."""
     signs = [rng.choice((1, -1)) for _ in range(level)]
-    return sum(_bit(level, j) for j, s in enumerate(signs, 1) if s == -1)
+    return sum(1 << (level - j) for j, s in enumerate(signs, 1) if s == -1)
 
 
 def parity_boundary(word: LoopWord, level: int) -> SignVector:
@@ -51,7 +49,7 @@ def parity_boundary(word: LoopWord, level: int) -> SignVector:
     parity = 0
     for index, _exp in word:
         if index <= level:
-            parity ^= _bit(level, index)
+            parity ^= 1 << (level - index)
     return parity
 
 
@@ -71,9 +69,8 @@ def connect_fibre_points(
     """
     if not (0 <= source < 2**level and 0 <= target < 2**level):
         raise ValueError(f"sign vectors must lie in range(2**{level})")
-    return tuple(
-        (j, 1) for j in range(1, level + 1) if (source ^ target) & _bit(level, j)
-    )
+    differ = source ^ target
+    return tuple((j, 1) for j in range(1, level + 1) if differ & (1 << (level - j)))
 
 
 def kernel_check(word: LoopWord, level: int) -> bool:
@@ -84,9 +81,7 @@ def kernel_check(word: LoopWord, level: int) -> bool:
         for start in all_sign_vectors(level)
     )
     if parity_trivial != lift_trivial:
-        raise AssertionError(
-            "parity and lifting disagree; the model is inconsistent"
-        )
+        raise InconsistentModel("parity and lifting disagree; the model is inconsistent")
     return parity_trivial
 
 
@@ -116,7 +111,7 @@ class HnGraph:
         out = []
         for eps in self.vertices():
             for j in range(1, self.level + 1):
-                if not eps & _bit(self.level, j):  # one endpoint per unordered pair
+                if not eps & (1 << (self.level - j)):  # one endpoint per unordered pair
                     other = flip(self.level, eps, j)
                     out.append((eps, other, j, "semicircle-up"))
                     out.append((eps, other, j, "semicircle-down"))
@@ -126,7 +121,7 @@ class HnGraph:
 
 
 def flip(level: int, vector: SignVector, circle: int) -> SignVector:
-    return vector ^ _bit(level, circle)
+    return vector ^ (1 << (level - circle))
 
 
 def is_connected(graph: HnGraph, omit_circle: int | None = None) -> bool:
@@ -208,9 +203,9 @@ def deck_group_hn(level: int) -> list[SignVector]:
     found = deck_search(sys, max_results=2 ** (level + 1))
     for h in found:
         if any(h[eps] != apply_deck(h[ALL_PLUS], eps) for eps in sys.fibre):
-            raise AssertionError("centralizer element is not a sign multiplication")
+            raise InconsistentModel("centralizer element is not a sign multiplication")
     if sorted(h[ALL_PLUS] for h in found) != closed_form:
-        raise AssertionError("exhaustive deck group differs from the closed form")
+        raise InconsistentModel("exhaustive deck group differs from the closed form")
     return closed_form
 
 

@@ -31,6 +31,13 @@ class SearchBoundExceeded(RuntimeError):
     """An exhaustive search would exceed its configured bound."""
 
 
+class InconsistentModel(AssertionError):
+    """Two computations that must agree on a model do not: the model is broken.
+
+    An experiment that meets one reports ``fail``, not a usage error.
+    """
+
+
 LoopLetter = tuple[Hashable, int]
 LoopWord = tuple[LoopLetter, ...]
 

@@ -26,7 +26,8 @@ from math import lcm
 from random import Random
 
 from .lifting import (
-    MonodromySystem, TowerModel, cycle_lengths, orbit_partition, tower_strictness_check,
+    InconsistentModel, MonodromySystem, TowerModel, cycle_lengths, orbit_partition,
+    tower_strictness_check,
 )
 
 
@@ -184,11 +185,12 @@ def aperiodicity_check(word: str, max_period: int) -> int | None:
     return None
 
 
-def max_recurrence_gap(word: str, length: int) -> tuple[int, str]:
+def max_recurrence_gap(word: str, length: int) -> tuple[int | None, str]:
     """Uniform recurrence bound over all length-L factors, with a witness.
 
     Returns the largest gap between consecutive occurrences of any length-L
-    factor, and a factor achieving it. Every factor must recur.
+    factor, and a factor achieving it. If some factor occurs only once, the
+    gap is None and the factor is the first such one.
     """
     positions: dict[str, list[int]] = {}
     for i in range(len(word) - length + 1):
@@ -198,7 +200,7 @@ def max_recurrence_gap(word: str, length: int) -> tuple[int, str]:
     for factor in sorted(positions):
         starts = positions[factor]
         if len(starts) < 2:
-            raise ValueError(f"factor {factor!r} occurs only once in the sample")
+            return None, factor
         gap = max(b - a for a, b in zip(starts, starts[1:]))
         if gap > worst:
             worst, witness = gap, factor
@@ -366,7 +368,7 @@ def equicontinuity_modulus(tower: StrictTower) -> list[dict]:
             above = map(bond.__getitem__, map(step.__getitem__, upper.fibre))
             # K is preserved by the step iff each fibre steps into one fibre
             if len(set(zip(below, above))) != len(sizes):
-                raise AssertionError("agreement not preserved; tower invariants violated")
+                raise InconsistentModel("agreement not preserved; tower invariants violated")
             pairs = sum(size * size for size in sizes.values())
         table.append(
             {

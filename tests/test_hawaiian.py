@@ -2,7 +2,9 @@
 
 Sign vectors are ints: coordinate j of a level-n vector is bit n - j, and +
 is 0, so ``0b01`` at level 2 is ``+-``. ``TestTupleOracle`` checks the int
-operations against the +-1-tuple definitions under that encoding.
+operations against the +-1-tuple definitions at levels 1..10. Its model does
+no bit arithmetic: it decodes an int by its position in ``range(2**n)``,
+which runs through the sign tuples in product order.
 """
 
 import itertools
@@ -263,16 +265,14 @@ class TestFactorizationCriterion:
 # ---------------------------------------------------------------------------
 # the +-1-tuple model that the int encoding must reproduce
 
-ORACLE_LEVELS = range(1, 7)
-
-
-def bits(vector, n):
-    """The encoding: coordinate j of a level-n vector is bit n - j."""
-    return tuple(vector >> (n - j) & 1 for j in range(1, n + 1))
+ORACLE_LEVELS = range(1, 11)
+# The encoding: level-n vector v is the v-th sign tuple in product order,
+# ++..+, ++..-, ... (coordinate j at bit n - j, + stored as 0).
+SIGN_TUPLES = {n: list(itertools.product((1, -1), repeat=n)) for n in ORACLE_LEVELS}
 
 
 def as_tuple(vector, n):
-    return tuple(-1 if b else 1 for b in bits(vector, n))  # + is stored as 0
+    return SIGN_TUPLES[n][vector]
 
 
 def tuple_flip(t, circle):
@@ -284,19 +284,34 @@ def tuple_deck(delta, eps):
 
 
 def tuple_parity(word, level):
-    parity = [0] * level
-    for index, exp in word:
+    """The boundary as signs: coordinate j is - iff circle j occurs an odd
+    number of times."""
+    parity = [1] * level
+    for index, _exp in word:
         if index <= level:
-            parity[index - 1] = (parity[index - 1] + exp) % 2
+            parity[index - 1] = -parity[index - 1]
     return tuple(parity)
 
 
 def tuple_lift(level, word, start):
-    return tuple(s * (-1) ** b for s, b in zip(start, tuple_parity(word, level)))
+    return tuple_deck(tuple_parity(word, level), start)
 
 
 def tuple_connect(level, source, target):
     return tuple((j + 1, 1) for j in range(level) if source[j] != target[j])
+
+
+def tuple_edges(level, circles):
+    """``HnGraph.edges``: each flip pair from its + end, then the outer loops."""
+    out = []
+    for t in SIGN_TUPLES[level]:
+        for j in range(1, level + 1):
+            if t[j - 1] == 1:
+                other = tuple_flip(t, j)
+                out.append((t, other, j, "semicircle-up"))
+                out.append((t, other, j, "semicircle-down"))
+        out.extend((t, t, j, "outer-loop") for j in range(level + 1, circles + 1))
+    return out
 
 
 def tuple_sign_string(t):
@@ -306,9 +321,7 @@ def tuple_sign_string(t):
 class TestTupleOracle:
     def test_encoding_runs_in_product_order(self):
         for n in ORACLE_LEVELS:
-            assert [as_tuple(v, n) for v in all_sign_vectors(n)] == list(
-                itertools.product((1, -1), repeat=n)
-            )
+            assert all_sign_vectors(n) == range(len(SIGN_TUPLES[n]))
             assert as_tuple(ALL_PLUS, n) == (1,) * n
 
     def test_random_vector_draws_one_sign_per_coordinate(self):
@@ -327,8 +340,14 @@ class TestTupleOracle:
                     assert as_tuple(flip(n, v, j), n) == tuple_flip(as_tuple(v, n), j)
 
     def test_deck_and_connecting_words(self):
+        rng = Random(1618)
         for n in ORACLE_LEVELS:
-            for u, v in itertools.product(all_sign_vectors(n), repeat=2):
+            fibre = all_sign_vectors(n)
+            if n <= 6:
+                pairs = itertools.product(fibre, repeat=2)
+            else:
+                pairs = [(rng.choice(fibre), rng.choice(fibre)) for _ in range(2000)]
+            for u, v in pairs:
                 s, t = as_tuple(u, n), as_tuple(v, n)
                 assert as_tuple(apply_deck(u, v), n) == tuple_deck(s, t)
                 assert connect_fibre_points(n, u, v) == tuple_connect(n, s, t)
@@ -341,10 +360,18 @@ class TestTupleOracle:
                     (rng.randint(1, n + 2), rng.choice((1, -1)))
                     for _ in range(rng.randint(0, 10))
                 )
-                assert bits(parity_boundary(word, n), n) == tuple_parity(word, n)
+                assert as_tuple(parity_boundary(word, n), n) == tuple_parity(word, n)
                 for v in all_sign_vectors(n):
                     lifted = lift_word_hn(n, word, v)
                     assert as_tuple(lifted, n) == tuple_lift(n, word, as_tuple(v, n))
+
+    def test_graph_edges(self):
+        for n in ORACLE_LEVELS:
+            edges = [
+                (as_tuple(u, n), as_tuple(v, n), j, kind)
+                for u, v, j, kind in HnGraph(n, n + 2).edges()
+            ]
+            assert edges == tuple_edges(n, n + 2)
 
     def test_bonds_forget_the_last_coordinate(self):
         tower = hn_tower(6)

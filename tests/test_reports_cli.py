@@ -504,12 +504,20 @@ class TestCli:
 # the exit-code contract over arbitrary command lines and config files
 
 
+def _abbreviates(token: str, option: str) -> bool:
+    """Whether argparse reads the token as ``option``, alone or with ``=value``."""
+    prefix = token.split("=", 1)[0]
+    return len(prefix) > 2 and option.startswith(prefix)
+
+
 def _asks_for_help(token: str) -> bool:
-    option = token.split("=", 1)[0]
-    return token.startswith("-h") or (len(option) > 2 and "--help".startswith(option))
+    return token.startswith("-h") or _abbreviates(token, "--help")
 
 
-junk = st.text(max_size=8).filter(lambda token: not _asks_for_help(token))
+# a junk token never names a report path, so that every report lands in the
+# fresh directory the example runs in
+junk = st.text(max_size=8).filter(
+    lambda token: not _asks_for_help(token) and not _abbreviates(token, "--out"))
 numbers = st.one_of(
     st.integers(-3, 3),
     st.sampled_from(
@@ -523,12 +531,14 @@ json_values = st.one_of(
     st.text(max_size=6), st.sampled_from(list(SPECS)),
     st.lists(st.integers(), max_size=2),
 )
+# a config's "out" names no directory, so the report lands in the one the
+# example runs in
 config_documents = st.one_of(
     st.dictionaries(
         st.sampled_from(["experiment", "seed", "out", "config", "bogus", *KNOB_TYPES]),
         json_values,
         max_size=5,
-    ),
+    ).filter(lambda doc: os.sep not in str(doc.get("out", ""))),
     json_values,
 )
 # "CONFIG", "OUT" and "MISSING" stand for paths in a fresh directory
@@ -561,6 +571,7 @@ class TestExitContract:
     def test_every_input_exits_0_1_or_2(self, lead, pieces, document, verdict):
         """Exit 0 or 1 with a JSON report, or exit 2 with one stderr line."""
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.chdir(tmp)  # a config's "out" is relative
             for name, spec in SPECS.items():
                 mp.setitem(SPECS, name, dataclasses.replace(
                     spec, runner=lambda **_: (verdict, {})))
@@ -599,14 +610,8 @@ def _load_battery():
     return module
 
 
-def _abbreviates_out_dir(token: str) -> bool:
-    option = token.split("=", 1)[0]
-    return len(option) > 2 and "--out-dir".startswith(option)
-
-
-# a junk token never names the output directory, so that every report lands
-# in the fresh directory the example runs in
-battery_junk = junk.filter(lambda token: not _abbreviates_out_dir(token))
+# nor the battery's output directory
+battery_junk = junk.filter(lambda token: not _abbreviates(token, "--out-dir"))
 # "FRESH", "FILE" and "MISSING/nested" stand for paths in a fresh directory
 battery_pieces = st.one_of(
     st.tuples(st.just("--seed"), st.one_of(

@@ -259,8 +259,7 @@ class TestAperiodicityRecurrence:
 
     def test_whole_word_occurs_once(self):
         w = mt_prefix(64)
-        with pytest.raises(ValueError):
-            max_recurrence_gap(w, len(w))
+        assert max_recurrence_gap(w, len(w)) == (None, w)
 
     def test_uniform_bound_pinned_from_oracle_run(self):
         # regression values fixed by the first enumeration run

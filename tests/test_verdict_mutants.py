@@ -7,11 +7,17 @@ holds. Run through the command line, the experiment must then report
 A verdict that ignored the conjunct would still pass under its mutant.
 
 Covered so far: mt-generate, mt-dynamics, tower-equicontinuity,
-spiral-orbits and rotation-density. In spiral-orbits the conjunct
-``len(orbits) == 3`` has no mutant of its own: the orbit sizes conjunct
-implies it. In tower-equicontinuity both modulus conjuncts read
+spiral-orbits, rotation-density and amalgam-rigidity. In spiral-orbits the
+conjunct ``len(orbits) == 3`` has no mutant of its own: the orbit sizes
+conjunct implies it. In tower-equicontinuity both modulus conjuncts read
 ``delta_level``, which ``equicontinuity_modulus`` sets to the level or
-raises, so only a mutant of its table flips them.
+raises, so only a mutant of its table flips them. The amalgam-rigidity
+mutants skew the doubling that ``profinite.rigidity_witness`` applies on
+one side of the glue each.
+
+A second table breaks a model so that two computations that must agree
+on it do not; the run must still end as ``fail`` with exit 1 and a report
+naming the inconsistency.
 """
 
 import itertools
@@ -20,7 +26,7 @@ from fractions import Fraction
 
 import pytest
 
-from liftlab import cli, lifting, symdyn
+from liftlab import cli, hawaiian, lifting, profinite, symdyn
 
 ARGV = {
     "mt-generate": ["--level", "4"],
@@ -28,6 +34,9 @@ ARGV = {
     "tower-equicontinuity": ["--seed", "1", "--level", "3", "--words", "3"],
     "spiral-orbits": ["--horizon", "4"],
     "rotation-density": ["--horizon", "12"],
+    "amalgam-rigidity": ["--seed", "1", "--precision", "16", "--words", "4",
+                         "--depth", "6"],
+    "hawaiian-suite": ["--seed", "1", "--level", "3", "--words", "20"],
 }
 
 
@@ -44,6 +53,17 @@ def _skewed_modulus(real, skewed_call):
         if skewed_call(next(calls)):
             table[-1]["delta_level"] -= 1
         return table
+
+    return mutant
+
+
+def _first_bond_not_equivariant(real):
+    """The solenoid tower, with its first bond onto but not equivariant."""
+
+    def mutant(base, top_level):
+        tower = real(base, top_level)
+        tower.bonds[0] = {0: 0, 1: 1, 2: 1, 3: 0}
+        return tower
 
     return mutant
 
@@ -72,6 +92,9 @@ MUTANTS = {
     "no period up to 128": (
         "mt-dynamics", symdyn, "aperiodicity_check",
         lambda real: lambda word, max_period: 1, "fail"),
+    "every length-8 factor recurs": (
+        "mt-dynamics", symdyn, "max_recurrence_gap",
+        lambda real: lambda word, length: real(word + "0" * length, length), "fail"),
     "proximal witness found": (
         "mt-dynamics", symdyn, "proximal_search",
         lambda real: lambda *args: None, "no-witness-at-horizon"),
@@ -102,12 +125,38 @@ MUTANTS = {
     "rational control gap is constant": (
         "rotation-density", lifting, "rotation_orbit_gaps",
         lambda real: lambda alpha, count: Fraction(1, count), "fail"),
+    "binary valuations march": (
+        "amalgam-rigidity", profinite, "padic_scale",
+        lambda real: lambda n, x: real(1 if x.base == 2 else n, x), "fail"),
+    "ternary distances stay constant": (
+        "amalgam-rigidity", profinite, "padic_scale",
+        lambda real: lambda n, x: real(n * n if x.base == 3 else n, x), "fail"),
+}
+
+# broken model -> (experiment, [(module, function, mutant built from the real
+# function)], words of the inconsistency the report must name)
+BROKEN_MODELS = {
+    "strictness check admits a non-equivariant bond": (
+        "tower-equicontinuity", [
+            (symdyn, "tower_strictness_check", lambda real: lambda tower: ()),
+            (lifting, "solenoid_tower", _first_bond_not_equivariant)],
+        "agreement not preserved"),
+    "lift off by one bit": (
+        "hawaiian-suite", [
+            (hawaiian, "lift_word_hn",
+             lambda real: lambda level, word, start: real(level, word, start) ^ 1)],
+        "parity and lifting disagree"),
+    "deck search misses an element": (
+        "hawaiian-suite", [
+            (hawaiian, "deck_search",
+             lambda real: lambda *args, **kwargs: real(*args, **kwargs)[1:])],
+        "exhaustive deck group differs"),
 }
 
 
-def run_cli(capsys, experiment: str) -> tuple[int, str]:
+def run_cli(capsys, experiment: str) -> tuple[int, dict]:
     code = cli.main(["--experiment", experiment, *ARGV[experiment]])
-    return code, json.loads(capsys.readouterr().out)["verdict"]
+    return code, json.loads(capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("experiment", ARGV)
@@ -119,4 +168,15 @@ def test_unmutated_run_passes(capsys, experiment):
 def test_mutant_fails_the_verdict(monkeypatch, capsys, conjunct):
     experiment, module, name, mutant, verdict = MUTANTS[conjunct]
     monkeypatch.setattr(module, name, mutant(getattr(module, name)))
-    assert run_cli(capsys, experiment) == (1, verdict)
+    code, report = run_cli(capsys, experiment)
+    assert (code, report["verdict"]) == (1, verdict)
+
+
+@pytest.mark.parametrize("model", BROKEN_MODELS)
+def test_broken_model_fails_with_a_report(monkeypatch, capsys, model):
+    experiment, patches, inconsistency = BROKEN_MODELS[model]
+    for module, name, mutant in patches:
+        monkeypatch.setattr(module, name, mutant(getattr(module, name)))
+    code, report = run_cli(capsys, experiment)
+    assert (code, report["verdict"]) == (1, "fail")
+    assert inconsistency in report["payload"]["inconsistent_model"]
