@@ -5,10 +5,14 @@ Usage: python scripts/run_experiments.py [--out-dir out] [--seed 20260808]
 
 Seeded experiments all use the one seed given here; reports land in the
 output directory as <experiment>.json and a one-line verdict summary is
-printed per experiment. Exit status is that of ``liftlab`` (0, 1, or 2 with
-one error line); every config and the output directory are checked first.
+printed per experiment. Once every report is written, summary.json in the
+same directory maps each experiment to its verdict, exit code, wall time
+and report file name. Exit status is that of ``liftlab`` (0, 1, or 2 with
+one error line); every config and the output directory are checked first,
+and a run that exits 2 writes no summary.
 """
 
+import json
 import pathlib
 import sys
 
@@ -23,7 +27,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = cli.Parser(description=__doc__)
     parser.add_argument("--out-dir", default="out")
     parser.add_argument("--seed", type=int, default=20260808)
-    failures = 0
+    summary = {}
     try:
         args = parser.parse_args(argv)
         configs = [
@@ -37,11 +41,18 @@ def main(argv: list[str] | None = None) -> int:
             report = run(config)
             path = out_dir / f"{name}.json"
             path.write_text(report.to_json(), encoding="utf-8")
-            failures += report.verdict not in PASSING_VERDICTS
+            summary[name] = {
+                "verdict": report.verdict,
+                "exit_code": 0 if report.verdict in PASSING_VERDICTS else 1,
+                "wall_time_s": round(report.wall_time_s, 6),
+                "report": path.name,
+            }
             print(f"{name:24s} {report.verdict:22s} {report.wall_time_s:8.2f}s  -> {path}")
+        text = json.dumps(summary, indent=2) + "\n"
+        (out_dir / "summary.json").write_text(text, encoding="utf-8")
     except (OSError, ValueError) as err:
         return cli.usage_error(err)
-    return 1 if failures else 0
+    return max((entry["exit_code"] for entry in summary.values()), default=0)
 
 
 if __name__ == "__main__":

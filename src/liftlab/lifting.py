@@ -388,13 +388,14 @@ def spiral_system(truncation: int) -> MonodromySystem:
     K = truncation
     ints = list(range(-K, K + 1))
     fibre = ints + ["bot", "top"]
+    # each point's embedding as (numerator, positive denominator)
+    embedding = {t: (t, 1 + abs(t)) for t in ints}
+    embedding["bot"], embedding["top"] = (-1, 1), (1, 1)
 
-    def embed(p) -> Fraction:
-        if p == "bot":
-            return Fraction(-1)
-        if p == "top":
-            return Fraction(1)
-        return Fraction(p, 1 + abs(p))
+    def metric(p, q) -> Fraction:
+        a, b = embedding[p]
+        c, d = embedding[q]
+        return Fraction(abs(a * d - c * b), b * d)
 
     action = {k: k + 1 for k in range(-K, K)}
     action[K] = -K
@@ -403,7 +404,7 @@ def spiral_system(truncation: int) -> MonodromySystem:
     return MonodromySystem(
         fibre,
         {"a": action},
-        metric=lambda p, q: abs(embed(p) - embed(q)),
+        metric=metric,
         clamped=frozenset({("a", K)}),
     )
 

@@ -40,7 +40,6 @@ class WindowError(ValueError):
 
 _SWAP = str.maketrans("01", "10")
 _SWAP_BYTES = bytes.maketrans(b"01", b"10")
-_DROP_BITS = str.maketrans("", "", "01")
 
 
 def mt_substitution(n: int) -> str:
@@ -111,13 +110,9 @@ class CentralWord:
             raise ValueError(
                 f"window of radius {self.radius} needs {2 * self.radius} symbols"
             )
-        if self.symbols.translate(_DROP_BITS):  # what is left is not 0/1
+        # ASCII encodes one byte per symbol; what is left without 0/1 is foreign
+        if not self.symbols.isascii() or self.symbols.encode().translate(None, b"01"):
             raise ValueError("window symbols must be 0/1")
-
-    def __getitem__(self, index: int) -> str:
-        if not -self.radius <= index < self.radius:
-            raise WindowError(f"index {index} outside window of radius {self.radius}")
-        return self.symbols[index + self.radius]
 
 
 def omega0(radius: int) -> CentralWord:
@@ -148,10 +143,11 @@ def word_metric(x: CentralWord, y: CentralWord) -> int:
     """Smallest v with x_v != y_v or x_-v-1 != y_-v-1, else the radius."""
     if x.radius != y.radius:
         raise WindowError(f"radius mismatch: {x.radius} vs {y.radius}")
-    for v in range(x.radius):
-        if x[v] != y[v] or x[-v - 1] != y[-v - 1]:
+    m, a, b = x.radius, x.symbols, y.symbols  # symbol i sits at index m + i
+    for v in range(m):
+        if a[m + v] != b[m + v] or a[m - v - 1] != b[m - v - 1]:
             return v
-    return x.radius
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,26 @@ class TestOrbits:
             itertools.product(outside, orbit), key=repr
         )
 
+    def test_spiral_metric_is_the_embedding_distance(self):
+        """The metric is |e(p) - e(q)| for e(t) = t / (1 + |t|), e(bot) = -1, e(top) = 1."""
+
+        def embed(p) -> Fraction:
+            if p in ("bot", "top"):
+                return Fraction(-1 if p == "bot" else 1)
+            return Fraction(p, 1 + abs(p))
+
+        for K in range(1, 13):
+            sys = spiral_system(K)
+            for p, q in itertools.product(sys.fibre, repeat=2):
+                assert sys.metric(p, q) == abs(embed(p) - embed(q)), (K, p, q)
+        sys = spiral_system(2000)
+        rng = Random(2000)
+        for _ in range(2000):
+            p = rng.choice(sys.fibre)
+            q = rng.choice((rng.choice(sys.fibre), "bot", "top"))
+            d = sys.metric(p, q)
+            assert type(d) is Fraction and d == abs(embed(p) - embed(q)), (p, q)
+
     def test_closure_requires_metric(self):
         for sys in (random_permutation_system(3, 5), solenoid_level(2, 4)):
             with pytest.raises(ValueError, match="needs a metric"):

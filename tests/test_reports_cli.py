@@ -430,6 +430,7 @@ class TestCli:
         assert result.returncode == 2
         assert result.stderr.startswith("error: ")
         assert result.stderr.count("\n") == 1
+        assert not (tmp_path / "reports" / "summary.json").exists()
 
     def test_mistyped_config_value_usage_error(self, tmp_path):
         config = tmp_path / "config.json"
@@ -642,13 +643,41 @@ class TestBatteryExitContract:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = self.battery.main(argv)
+            written = [json.loads(path.read_text(encoding="utf-8"))
+                       for path in pathlib.Path(tmp).rglob("summary.json")]
         if code == 2:
             assert out.getvalue() == ""
             assert err.getvalue().startswith("error: ")
             assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+            assert written == []
         else:
             assert err.getvalue() == ""
             summary = [line.split()[:2] for line in out.getvalue().splitlines()]
             assert summary == [list(pair) for pair in zip(SPECS, verdicts)]
             passing = all(verdict in ("pass", "witness-found") for verdict in verdicts)
             assert code == (0 if passing else 1)
+            [document] = written
+            assert [(name, entry["verdict"]) for name, entry in document.items()] == list(
+                zip(SPECS, verdicts))
+            assert max(entry["exit_code"] for entry in document.values()) == code
+
+    @pytest.mark.parametrize("offset", range(len(VERDICTS)))
+    def test_summary_records_each_experiment(self, tmp_path, monkeypatch, offset):
+        """summary.json: verdict, exit code, wall time and report file per experiment."""
+        verdicts = {name: VERDICTS[(i + offset) % len(VERDICTS)]
+                    for i, name in enumerate(SPECS)}
+        for name, spec in SPECS.items():
+            monkeypatch.setitem(SPECS, name, dataclasses.replace(
+                spec, runner=lambda verdict=verdicts[name], **_: (verdict, {})))
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = self.battery.main(["--out-dir", str(tmp_path)])
+        summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+        assert list(summary) == list(SPECS)
+        for name, entry in summary.items():
+            assert sorted(entry) == ["exit_code", "report", "verdict", "wall_time_s"]
+            passing = verdicts[name] in ("pass", "witness-found")
+            assert (entry["verdict"], entry["exit_code"]) == (verdicts[name], 0 if passing else 1)
+            assert entry["report"] == f"{name}.json"
+            report = json.loads((tmp_path / entry["report"]).read_text(encoding="utf-8"))
+            assert entry["wall_time_s"] == report["wall_time_s"] >= 0
+        assert code == 1

@@ -94,7 +94,7 @@ class TestGenerators:
 class TestWindows:
     def test_omega0_center(self):
         w = omega0(1)
-        assert (w[-1], w[0]) == ("0", "0")
+        assert (w.symbols[w.radius - 1], w.symbols[w.radius]) == ("0", "0")
 
     def test_omega0_right_half_and_mirror(self):
         w = omega0(4)
@@ -127,13 +127,15 @@ class TestWindows:
         with pytest.raises(WindowError):
             shift(omega0(3), 3)
 
-    @pytest.mark.parametrize("bad", ["2", " ", "\u00e9"])
+    # Arabic-Indic and fullwidth zeros and a lone surrogate are foreign too
+    @pytest.mark.parametrize("bad", ["2", " ", "\u00e9", "\u0660", "\uff10", "\ud800"])
     @pytest.mark.parametrize("position", [0, 3, 7])
     def test_window_rejects_a_foreign_symbol_anywhere(self, bad, position):
         symbols = "01101001"
         CentralWord(4, symbols)
-        with pytest.raises(ValueError, match="0/1"):
+        with pytest.raises(ValueError, match="0/1") as raised:
             CentralWord(4, symbols[:position] + bad + symbols[position + 1 :])
+        assert type(raised.value) is ValueError  # the window's error, never a codec's
 
     def test_window_rejects_a_wrong_length(self):
         for symbols in ("011", "01100", ""):
@@ -144,12 +146,13 @@ class TestWindows:
         # exponents v of 2^-v; full agreement certifies only d(x, x) <= 2^-8
         x = omega0(8)
         assert word_metric(x, x) == 8
+        assert word_metric(omega0(0), omega0(0)) == 0
         flipped_center = CentralWord(
-            8, x.symbols[:8] + ("1" if x[0] == "0" else "0") + x.symbols[9:]
+            8, x.symbols[:8] + ("1" if x.symbols[8] == "0" else "0") + x.symbols[9:]
         )
         assert word_metric(x, flipped_center) == 0
         flipped_three = CentralWord(
-            8, x.symbols[:11] + ("1" if x[3] == "0" else "0") + x.symbols[12:]
+            8, x.symbols[:11] + ("1" if x.symbols[11] == "0" else "0") + x.symbols[12:]
         )
         assert word_metric(x, flipped_three) == 3
 
@@ -172,6 +175,36 @@ class TestWindows:
         assert word_metric(x, z) >= min(word_metric(x, y), word_metric(y, z))
         # the radius is reached exactly when the windows agree
         assert (word_metric(x, y) == radius) == (x == y)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(0, 24), st.data())
+    def test_metric_matches_ring_by_ring_reference(self, radius, data):
+        """word_metric equals the innermost ring that holds a disagreement.
+
+        Ring v holds indices v and -v-1; equal windows reach the radius.
+        """
+        bits = data.draw(st.text("01", min_size=2 * radius, max_size=2 * radius))
+        flips = data.draw(st.sets(st.integers(-radius, radius - 1))) if radius else set()
+        other = "".join(
+            ("1" if b == "0" else "0") if i - radius in flips else b
+            for i, b in enumerate(bits)
+        )
+        x, y = CentralWord(radius, bits), CentralWord(radius, other)
+
+        def ring_by_ring(x, y):
+            def symbol(w, i):
+                return w.symbols[i + w.radius]
+
+            for v in range(x.radius):
+                ring = (v, -v - 1)
+                if [symbol(x, i) for i in ring] != [symbol(y, i) for i in ring]:
+                    return v
+            return x.radius
+
+        rings = {i if i >= 0 else -i - 1 for i in flips}
+        assert word_metric(x, y) == ring_by_ring(x, y) == min(rings, default=radius)
+        assert word_metric(y, x) == word_metric(x, y)
+        assert word_metric(x, x) == ring_by_ring(x, x) == radius
 
 
 def oracle_factors(word: str, length: int) -> set[str]:

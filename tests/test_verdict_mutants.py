@@ -7,13 +7,19 @@ holds. Run through the command line, the experiment must then report
 A verdict that ignored the conjunct would still pass under its mutant.
 
 Covered so far: mt-generate, mt-dynamics, tower-equicontinuity,
-spiral-orbits, rotation-density and amalgam-rigidity. In spiral-orbits the
-conjunct ``len(orbits) == 3`` has no mutant of its own: the orbit sizes
-conjunct implies it. In tower-equicontinuity both modulus conjuncts read
-``delta_level``, which ``equicontinuity_modulus`` sets to the level or
-raises, so only a mutant of its table flips them. The amalgam-rigidity
-mutants skew the doubling that ``profinite.rigidity_witness`` applies on
-one side of the glue each.
+spiral-orbits, rotation-density, amalgam-rigidity and covers-obstruction.
+In spiral-orbits the conjunct ``len(orbits) == 3`` has no mutant of its
+own: the orbit sizes conjunct implies it. In tower-equicontinuity both
+modulus conjuncts read ``delta_level``, which ``equicontinuity_modulus``
+sets to the level or raises, so only a mutant of its table flips them. The
+amalgam-rigidity mutants skew the doubling that
+``profinite.rigidity_witness`` applies on one side of the glue each. In
+covers-obstruction the full-cycle conjunct
+("no full-cycle class is simultaneously compatible") has no row: the
+runner enumerates exhaustively up to ``min(max_degree, 8)``, so that branch
+is reached only at degree 9 or more. One run to degree 9 takes about 1.8 s
+on a 2-core host, 1.2 s of it in the exhaustive degrees 2..8, so a row and
+its unmutated run would spend most of the table's 5 s budget.
 
 A second table breaks a model so that two computations that must agree
 on it do not; the run must still end as ``fail`` with exit 1 and a report
@@ -26,7 +32,7 @@ from fractions import Fraction
 
 import pytest
 
-from liftlab import cli, hawaiian, lifting, profinite, symdyn
+from liftlab import cli, covers, hawaiian, lifting, profinite, symdyn
 
 ARGV = {
     "mt-generate": ["--level", "4"],
@@ -37,6 +43,7 @@ ARGV = {
     "amalgam-rigidity": ["--seed", "1", "--precision", "16", "--words", "4",
                          "--depth", "6"],
     "hawaiian-suite": ["--seed", "1", "--level", "3", "--words", "20"],
+    "covers-obstruction": ["--max-degree", "4"],
 }
 
 
@@ -131,6 +138,12 @@ MUTANTS = {
     "ternary distances stay constant": (
         "amalgam-rigidity", profinite, "padic_scale",
         lambda real: lambda n, x: real(n * n if x.base == 3 else n, x), "fail"),
+    "only degree 1 is admissible": (
+        "covers-obstruction", covers, "factorization_obstruction",
+        lambda real: lambda degree: real(degree) or degree == 2, "fail"),
+    "no exhaustive class is simultaneously compatible": (
+        "covers-obstruction", covers, "cyclic_quotient_compatible",
+        lambda real: lambda rep, petal, base: True, "fail"),
 }
 
 # broken model -> (experiment, [(module, function, mutant built from the real
