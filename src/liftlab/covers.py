@@ -53,6 +53,8 @@ class CoveringPermutationRep:
 
 def is_power(value: int, base: int) -> bool:
     """Exact power test: value == base**k for some k >= 0."""
+    if base < 2:
+        raise ValueError(f"base must be >= 2, got {base}")
     if value < 1:
         return False
     while value % base == 0:
@@ -86,114 +88,111 @@ def cyclic_quotient_compatible(
 # ---------------------------------------------------------------------------
 # exhaustive enumeration up to simultaneous relabeling
 
-_SLOTS_PER_POINT = 4  # sigma_a, sigma_a^-1, sigma_b, sigma_b^-1
-
-
-def _resume(tables, d: int, state):
-    """Advance one start's comparison with the identity code from where it stopped.
-
-    ``tables`` holds the four slot tables, -1 marking an undefined entry.
-    ``state`` is ``(blocker, label, order, x, k)``: the start's partial
-    relabeling (``label``, and ``order`` listing the points in the order
-    they were labeled) and the entry it stopped at, table ``k`` at BFS
-    position ``x``. ``blocker`` is ``k * d + p`` for the undefined entry
-    ``tables[k][p]`` that stopped it, -1 once the code is compared in full.
-    Returns -1 / +1 when the code from the start is already smaller /
-    larger, else 0 and the advanced state. ``label`` and ``order`` are
-    copied before they grow, so the state passed in stays valid for the
-    sibling branches.
-    """
-    _, label, order, x, k = state
-    copied = False
-    while x < len(order):
-        old = order[x]
-        while k < _SLOTS_PER_POINT:
-            table = tables[k]
-            reference = table[x]
-            if reference == -1:
-                return 0, (k * d + x, label, order, x, k)
-            neighbor = table[old]
-            if neighbor == -1:
-                return 0, (k * d + old, label, order, x, k)
-            relabeled = label[neighbor]
-            if relabeled == -1:
-                if not copied:
-                    label, order, copied = label[:], order[:], True
-                relabeled = label[neighbor] = len(order)
-                order.append(neighbor)
-            if relabeled != reference:
-                return (-1 if relabeled < reference else 1), None
-            k += 1
-        x, k = x + 1, 0
-    return 0, (-1, label, order, x, k)
-
-
 def iter_connected_coverings(degree: int) -> Iterator[CoveringPermutationRep]:
     """Generate all degree-d connected covers, one per isomorphism class.
 
     Backtracking over partial permutation pairs in breadth-first slot order;
     fresh points always receive the next label, so every table is BFS-labeled
-    from point 0 and its code is the identity code. Each start point still
-    undecided is compared with it on the entries defined so far (Sims'
-    minimality test, 1994, ch. 5). Completing a table never changes a
-    defined entry, so a start whose code is already smaller prunes the whole
-    subtree, and one whose code is already larger is dropped for the
-    subtree. A start that stays undecided stopped at one undefined entry and
-    keeps its partial relabeling; an assignment defines exactly two entries,
-    (kind, x) and (kind ^ 1, v), so only the starts stopped at one of those
-    two resume, from where they stopped, and every other start's comparison
-    would stop at the same place again. A complete table that survives is
-    minimal over all start points and is emitted.
+    from point 0 and its code is the identity code. The four slot tables
+    (sigma_a, sigma_a^-1, sigma_b, sigma_b^-1) are one flat list: entry
+    ``4 * p + k`` is table ``k`` at point ``p``, -1 while undefined, and slot
+    ``s`` fills entry ``s``. A bitmask per table of the targets nothing maps
+    to yet lets the value loop visit only assignable targets, in order.
+
+    Each start point still undecided is compared with the identity code on
+    the entries defined so far (Sims' minimality test, 1994, ch. 5).
+    Completing a table never changes a defined entry, so a start whose code
+    is already smaller prunes the whole subtree, and one whose code is
+    already larger is dropped for the subtree. An undecided start keeps its
+    partial relabeling (``label``; ``order`` holds 4 * p for the points p in
+    labeling order), the code position it reached, and its blocker: the
+    undefined entry that stopped it, -1 once compared in full. An assignment
+    defines exactly two entries, so only the starts blocked at one of them
+    resume; every other start would stop at the same place again. ``label``
+    and ``order`` are copied before they grow, so a state stays valid for
+    sibling branches. A complete table that survives is minimal over all
+    start points and is emitted.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
     if degree > MAX_DEGREE:
         raise ValueError(f"degree {degree} exceeds the bound {MAX_DEGREE}")
     d = degree
-    tables = [[-1] * d for _ in range(_SLOTS_PER_POINT)]
+    table = [-1] * (4 * d)
+    free = [(1 << d) - 1] * 4
 
     def solve(
         slot: int, labeled: int, starts: list
     ) -> Iterator[CoveringPermutationRep]:
-        while slot < labeled * _SLOTS_PER_POINT:
-            x, kind = divmod(slot, _SLOTS_PER_POINT)
-            if tables[kind][x] == -1:
+        while slot < 4 * labeled:
+            if table[slot] == -1:
                 break
             slot += 1
         else:
             if labeled == d:
-                yield CoveringPermutationRep(d, tuple(tables[0]), tuple(tables[2]))
+                yield CoveringPermutationRep(d, tuple(table[0::4]), tuple(table[2::4]))
             return
 
-        table, partner = tables[kind], tables[kind ^ 1]
-        entry = kind * d + x
-        for v in range(min(labeled + 1, d)):
-            fresh = v == labeled
-            if not fresh and partner[v] != -1:
-                continue
-            table[x] = v
-            partner[v] = x
-            partner_entry = (kind ^ 1) * d + v
+        x, kind = slot >> 2, slot & 3
+        other, x_bit = kind ^ 1, 1 << x
+        # the labeled points and the next fresh one, if nothing maps there yet
+        targets = free[kind] & ((2 << labeled) - 1)
+        while targets:
+            v_bit = targets & -targets
+            targets ^= v_bit
+            v = v_bit.bit_length() - 1
+            partner = 4 * v + other
+            table[slot] = v
+            table[partner] = x
+            free[kind] ^= v_bit
+            free[other] ^= x_bit
             alive: list | None = []
             for state in starts:
-                if state[0] == entry or state[0] == partner_entry:
-                    sign, state = _resume(tables, d, state)
-                    if sign < 0:
-                        alive = None
+                blocker = state[0]
+                if blocker != slot and blocker != partner:
+                    alive.append(state)
+                    continue
+                _, label, order, pos = state
+                # resume this start's comparison at code position pos
+                copied = False
+                while pos < 4 * len(order):
+                    reference = table[pos]
+                    if reference == -1:
+                        blocker = pos
                         break
-                    if sign > 0:
-                        continue
-                alive.append(state)
+                    blocker = order[pos >> 2] + (pos & 3)
+                    neighbor = table[blocker]
+                    if neighbor == -1:
+                        break
+                    relabeled = label[neighbor]
+                    if relabeled == -1:
+                        if not copied:
+                            label, order, copied = label[:], order[:], True
+                        relabeled = label[neighbor] = len(order)
+                        order.append(4 * neighbor)
+                    if relabeled != reference:
+                        break
+                    pos += 1
+                else:
+                    blocker = -1
+                if blocker == -1 or table[blocker] == -1:  # still undecided
+                    alive.append((blocker, label, order, pos))
+                elif relabeled < reference:
+                    # this start's code is smaller: the subtree holds no rep
+                    alive = None
+                    break
             if alive is not None:
-                yield from solve(slot + 1, labeled + fresh, alive)
-            table[x] = partner[v] = -1
+                yield from solve(slot + 1, labeled + (v == labeled), alive)
+            table[slot] = table[partner] = -1
+            free[kind] ^= v_bit
+            free[other] ^= x_bit
 
-    # every start first stops at entry (0, 0), undefined until slot 0
+    # every start first stops at entry 0, undefined until slot 0
     starts = []
     for start in range(1, d):
         label = [-1] * d
         label[start] = 0
-        starts.append((0, label, [start], 0, 0))
+        starts.append((0, label, [4 * start], 0))
     yield from solve(0, 1, starts)
 
 
@@ -202,14 +201,37 @@ def full_cycle_coverings(degree: int, petal: str) -> Iterator[CoveringPermutatio
 
     This is the complete family of covers satisfying the cycle condition on
     that petal: any such cover is isomorphic to one with the petal acting as
-    the canonical cycle x -> x + 1, and the other petal arbitrary. The other
-    petal is reduced modulo conjugation by the cycle's centralizer (its own
-    powers), one representative per class.
-    Transitivity is automatic. Feasible through degree 9 and a bit beyond.
+    the canonical cycle x -> x + 1, and the other petal sigma arbitrary.
+    sigma is reduced modulo conjugation by the cycle's centralizer (its own
+    powers) to its lexicographically least conjugate. Conjugating by the
+    i-th power puts the displacement (sigma(d - i) - (d - i)) mod d at
+    position 0, so a least sigma has sigma(0) equal to its least
+    displacement: sigma(0) = s >= 1 is completed, in lexicographic order,
+    only by values of displacement at least s, and each candidate then
+    passes the exact test against every conjugate. Transitivity is
+    automatic. Feasible through degree 9 and a bit beyond.
     """
+    if not 1 <= degree <= MAX_DEGREE:
+        raise ValueError(f"degree must be in 1..{MAX_DEGREE}")
+    if petal not in ("a", "b"):
+        raise ValueError(f"unknown petal {petal!r}")
     d = degree
     cycle = tuple((x + 1) % d for x in range(d))
-    for other in itertools.permutations(range(d)):
+
+    def completions(prefix: tuple, unused: tuple, least: int):
+        """Completions of ``prefix``, in order, with every displacement >= least."""
+        if not unused:
+            yield prefix
+        x = len(prefix)
+        for i, v in enumerate(unused):
+            if (v - x) % d >= least:
+                yield from completions(prefix + (v,), unused[:i] + unused[i + 1 :], least)
+
+    candidates = itertools.chain(
+        ((0, *rest) for rest in itertools.permutations(range(1, d))),
+        *(completions((s,), (*range(s), *range(s + 1, d)), s) for s in range(1, d)),
+    )
+    for other in candidates:
         canonical = True
         for i in range(1, d):
             # conjugate by cycle^i, entrywise, with early exit

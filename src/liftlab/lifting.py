@@ -313,7 +313,12 @@ def deck_search(sys: MonodromySystem, max_results: int = 20000) -> list[dict]:
     fibre. Candidates are propagated equivariantly from one representative
     per orbit, so the cost is quadratic in the fibre, not factorial; the
     number of results is still capped because a trivial action admits every
-    bijection.
+    bijection: more than ``max_results`` raise ``SearchBoundExceeded``.
+    Results come sorted by the fibre indices of their images, in fibre
+    order, by construction: orbits come sorted by least fibre index, and an
+    orbit's candidates in fibre order of its least point's image, which
+    decides the first point where two results differ. A transitive action
+    has one orbit, whose candidates are returned as they are.
     """
     orbits = orbit_partition(sys)
     steps = _step_tables(sys)
@@ -325,6 +330,10 @@ def deck_search(sys: MonodromySystem, max_results: int = 20000) -> list[dict]:
             if h is not None:
                 candidates.append(h)
         per_orbit.append(candidates)
+    if len(per_orbit) == 1:
+        if len(candidates) > max_results:
+            raise SearchBoundExceeded(f"deck search exceeded {max_results} results")
+        return candidates
 
     results: list[dict] = []
 
@@ -346,7 +355,6 @@ def deck_search(sys: MonodromySystem, max_results: int = 20000) -> list[dict]:
                 del acc[key]
 
     backtrack(0, set(), {})
-    results.sort(key=lambda h: tuple(sys.index[h[p]] for p in sys.fibre))
     return results
 
 

@@ -87,6 +87,42 @@ def bfs_code(pa, pb, start):
     )
 
 
+def emission_digest(reps):
+    """SHA-256 of bytes(perm_a + perm_b) for each rep, in the order given."""
+    sha = hashlib.sha256()
+    for rep in reps:
+        sha.update(bytes(rep.perm_a + rep.perm_b))
+    return sha.hexdigest()
+
+
+def conjugation_filter(d, petal):
+    """The full-cycle family as the library listed it before its prefilter.
+
+    Every one of the d! permutations is kept when no conjugate by a power of
+    the cycle is lexicographically smaller, compared entrywise with early
+    exit; the least-displacement prefilter must reproduce this list, in
+    order.
+    """
+    cycle = tuple((x + 1) % d for x in range(d))
+    reps = []
+    for other in itertools.permutations(range(d)):
+        canonical = True
+        for i in range(1, d):
+            for x in range(d):
+                value = (other[(x - i) % d] + i) % d
+                if value < other[x]:
+                    canonical = False
+                    break
+                if value > other[x]:
+                    break
+            if not canonical:
+                break
+        if canonical:
+            pair = (cycle, other) if petal == "a" else (other, cycle)
+            reps.append(CoveringPermutationRep(d, *pair))
+    return reps
+
+
 def hall_subgroup_counts(limit):
     """Index-d subgroup counts of the rank-2 free group, by recursion."""
     counts = {}
@@ -101,6 +137,13 @@ class TestHelpers:
     def test_is_power(self):
         assert is_power(1, 2) and is_power(8, 2) and is_power(9, 3)
         assert not is_power(6, 2) and not is_power(6, 3) and not is_power(0, 2)
+
+    @pytest.mark.parametrize("base", [1, 0, -2])
+    def test_is_power_rejects_a_base_below_two(self, base):
+        # base 1 never divided the value down (an endless loop); base 0
+        # divided by zero
+        with pytest.raises(ValueError, match="base"):
+            is_power(8, base)
 
     def test_cycle_lengths(self):
         assert cycle_lengths(dict(enumerate((1, 2, 3, 0)))) == [4]
@@ -199,12 +242,10 @@ class TestEnumeration:
             5: "e5bb33422f67b5b09a577c8c3cce4cd0e977e3e480ab8ea9e6476af972dfd11b",
             6: "9b2c6c8b5e4336736c7ded0ce4930383cac331594a2923a0dba93b958443fac8",
             7: "1619989412b1a2e69d4cdb10dedeb5bef9b27e37c63d6e157e81c3ba4900f6a6",
+            8: "adba5e22464907decd8e892c467999fc58ffab3ea85128333f0f8dca508e4f59",
         }
         for d, digest in expected.items():
-            sha = hashlib.sha256()
-            for rep in iter_connected_coverings(d):
-                sha.update(bytes(rep.perm_a + rep.perm_b))
-            assert sha.hexdigest() == digest, d
+            assert emission_digest(iter_connected_coverings(d)) == digest, d
 
     def test_degree_bound_enforced(self):
         with pytest.raises(ValueError):
@@ -240,3 +281,40 @@ class TestFullCycleFamily:
         deduped = [rep.perm_b for rep in full_cycle_coverings(d, "a")]
         assert len(raw) == 24 and len(deduped) == 10
         assert {min(conjugates(perm)) for perm in deduped} == classes
+
+    def test_matches_the_conjugation_filter_in_order(self):
+        for d in range(1, 9):
+            for petal in ("a", "b"):
+                assert list(full_cycle_coverings(d, petal)) == conjugation_filter(
+                    d, petal
+                ), (d, petal)
+
+    def test_emission_order_is_pinned(self):
+        # digests of the families the obstruction lists at degrees 8 and 9
+        expected = {
+            (8, "a"): (5100, "19ebc57f2abadade96e2aedf2b1b9292dc5c6aeb3dea96e7121480b7d914e8f9"),
+            (9, "b"): (40362, "4f28718b673c182c1f6cd3e73539685a53bfa1d835c24a68860628e2113ffb5e"),
+        }
+        for (d, petal), (count, digest) in expected.items():
+            reps = list(full_cycle_coverings(d, petal))
+            assert (len(reps), emission_digest(reps)) == (count, digest), d
+
+    def test_first_value_is_the_least_displacement(self):
+        for d in range(1, 10):
+            for rep in full_cycle_coverings(d, "a"):
+                sigma = rep.perm_b
+                assert sigma[0] == min((sigma[x] - x) % d for x in range(d))
+
+    @pytest.mark.parametrize(
+        "degree, petal",
+        [(0, "a"), (-1, "b"), (MAX_DEGREE + 1, "a"), (3, "c"), (3, "A"), (1, "")],
+    )
+    def test_bad_arguments_rejected_before_any_permutation(
+        self, monkeypatch, degree, petal
+    ):
+        def no_permutations(*args):
+            raise AssertionError("a permutation was built")
+
+        monkeypatch.setattr(itertools, "permutations", no_permutations)
+        with pytest.raises(ValueError):
+            next(full_cycle_coverings(degree, petal))

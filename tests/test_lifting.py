@@ -237,6 +237,18 @@ class TestOrbits:
                 orbit_closure(sys, orbit_partition(sys)[0])
 
 
+def brute_force_centralizer(sys):
+    """Every fibre bijection commuting with every petal action, in the order
+    deck_search promises: itertools yields the image tuples in fibre order."""
+    found = []
+    for images in itertools.permutations(sys.fibre):
+        h = dict(zip(sys.fibre, images))
+        if all(h[act[p]] == act[h[p]]
+               for act in sys.actions.values() for p in sys.fibre):
+            found.append(h)
+    return found
+
+
 class TestDeckSearch:
     def test_solenoid_translations(self):
         for n in range(1, 5):
@@ -276,17 +288,6 @@ class TestDeckSearch:
                     assert all(h[act[p]] == act[h[p]] for p in sys.fibre)
 
     def test_matches_brute_force_centralizer(self):
-        def brute_force_centralizer(sys):
-            # every fibre bijection, kept if it commutes with every petal
-            # action; itertools yields them in the order deck_search sorts
-            found = []
-            for images in itertools.permutations(sys.fibre):
-                h = dict(zip(sys.fibre, images))
-                if all(h[act[p]] == act[h[p]]
-                       for act in sys.actions.values() for p in sys.fibre):
-                    found.append(h)
-            return found
-
         def union(rng, blocks):
             # disjoint union of the given actions of (a, b) on range(k),
             # each moved onto fresh points; the fibre order is shuffled
@@ -322,6 +323,32 @@ class TestDeckSearch:
         assert all(len(orbit_partition(sys)) > 1 for sys in systems)
         for sys in systems:
             assert deck_search(sys) == brute_force_centralizer(sys)
+
+    def test_transitive_matches_brute_force_centralizer(self):
+        # one orbit: the candidates from its least point are the whole
+        # centralizer, returned without a search over orbits
+        rng = Random(31)
+        systems = [solenoid_level(2, 2), solenoid_level(3, 1), solenoid_level(6, 1)]
+        while len(systems) < 30:
+            sys = random_permutation_system(rng.randrange(2**31), rng.randint(1, 6))
+            if len(orbit_partition(sys)) == 1:
+                fibre = list(sys.fibre)
+                rng.shuffle(fibre)
+                systems.append(MonodromySystem(fibre, sys.actions))
+        for sys in systems:
+            assert deck_search(sys) == brute_force_centralizer(sys)
+
+    @pytest.mark.parametrize("sys", [
+        solenoid_level(2, 3),  # transitive, centralizer of order 8
+        solenoid_level(5, 1),  # transitive, order 5
+        MonodromySystem(range(1), {"a": {0: 0}}),  # one point, order 1
+        MonodromySystem(range(3), {"a": {x: x for x in range(3)}}),  # three orbits, 3!
+    ], ids=["Z8", "Z5", "point", "trivial-3"])
+    def test_bound_is_exact(self, sys):
+        n = len(brute_force_centralizer(sys))
+        with pytest.raises(SearchBoundExceeded):
+            deck_search(sys, max_results=n - 1)
+        assert len(deck_search(sys, max_results=n)) == n
 
 
 class TestTowers:

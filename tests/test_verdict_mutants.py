@@ -7,7 +7,8 @@ holds. Run through the command line, the experiment must then report
 A verdict that ignored the conjunct would still pass under its mutant.
 
 Covered so far: mt-generate, mt-dynamics, tower-equicontinuity,
-spiral-orbits, rotation-density, amalgam-rigidity and covers-obstruction.
+spiral-orbits, rotation-density, amalgam-rigidity, amalgam-deck and
+covers-obstruction.
 In spiral-orbits the conjunct ``len(orbits) == 3`` has no mutant of its
 own: the orbit sizes conjunct implies it. In tower-equicontinuity both
 modulus conjuncts read ``delta_level``, which ``equicontinuity_modulus``
@@ -19,7 +20,12 @@ covers-obstruction the full-cycle conjunct
 runner enumerates exhaustively up to ``min(max_degree, 8)``, so that branch
 is reached only at degree 9 or more. One run to degree 9 takes about 1.8 s
 on a 2-core host, 1.2 s of it in the exhaustive degrees 2..8, so a row and
-its unmutated run would spend most of the table's 5 s budget.
+its unmutated run would spend most of the table's 5 s budget. amalgam-deck
+runs at an even precision, 4, where the search finds only the identity and
+the centralizer cross-check runs. There the cross-check equals the
+survivors' binary offsets only if exactly one pair survives with offset 0,
+so the "single survivor" mutant fails it too; the "identity" mutant keeps
+one survivor with binary offset 0 and fails ``identity_only`` alone.
 
 A second table breaks a model so that two computations that must agree
 on it do not; the run must still end as ``fail`` with exit 1 and a report
@@ -32,7 +38,7 @@ from fractions import Fraction
 
 import pytest
 
-from liftlab import cli, covers, hawaiian, lifting, profinite, symdyn
+from liftlab import amalgam, cli, covers, hawaiian, lifting, profinite, symdyn
 
 ARGV = {
     "mt-generate": ["--level", "4"],
@@ -43,6 +49,7 @@ ARGV = {
     "amalgam-rigidity": ["--seed", "1", "--precision", "16", "--words", "4",
                          "--depth", "6"],
     "hawaiian-suite": ["--seed", "1", "--level", "3", "--words", "20"],
+    "amalgam-deck": ["--precision", "4"],
     "covers-obstruction": ["--max-degree", "4"],
 }
 
@@ -71,6 +78,17 @@ def _first_bond_not_equivariant(real):
         tower = real(base, top_level)
         tower.bonds[0] = {0: 0, 1: 1, 2: 1, 3: 0}
         return tower
+
+    return mutant
+
+
+def _extra_survivor(real):
+    """The translation pairs, plus the spurious (2^(m-1), 0) of odd precision."""
+
+    def mutant(model):
+        pairs = real(model)
+        half = 2 ** (model.binary_precision - 1)
+        return pairs + [amalgam.TranslationPair(half, 0, pairs[0].ternary_precision)]
 
     return mutant
 
@@ -138,6 +156,16 @@ MUTANTS = {
     "ternary distances stay constant": (
         "amalgam-rigidity", profinite, "padic_scale",
         lambda real: lambda n, x: real(n * n if x.base == 3 else n, x), "fail"),
+    "a single translation pair survives": (
+        "amalgam-deck", amalgam, "translation_deck_search", _extra_survivor, "fail"),
+    "the surviving pair is the identity": (
+        "amalgam-deck", amalgam, "translation_deck_search",
+        lambda real: lambda model: [
+            amalgam.TranslationPair(0, 1, pair.ternary_precision)
+            for pair in real(model)], "fail"),
+    "the centralizer cross-check agrees": (
+        "amalgam-deck", amalgam, "centralizer_deck_search",
+        lambda real: lambda model: real(model) + [1], "fail"),
     "only degree 1 is admissible": (
         "covers-obstruction", covers, "factorization_obstruction",
         lambda real: lambda degree: real(degree) or degree == 2, "fail"),
