@@ -20,7 +20,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from liftlab import cli  # noqa: E402
 from liftlab.experiments import SPECS, ExperimentConfig, run  # noqa: E402
-from liftlab.reports import PASSING_VERDICTS  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -43,7 +42,7 @@ def main(argv: list[str] | None = None) -> int:
             path.write_text(report.to_json(), encoding="utf-8")
             summary[name] = {
                 "verdict": report.verdict,
-                "exit_code": 0 if report.verdict in PASSING_VERDICTS else 1,
+                "exit_code": report.exit_status,
                 "wall_time_s": round(report.wall_time_s, 6),
                 "report": path.name,
             }

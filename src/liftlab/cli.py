@@ -20,7 +20,6 @@ from .experiments import (
     flag,
     run,
 )
-from .reports import PASSING_VERDICTS
 
 
 def _epilog() -> str:
@@ -105,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as err:
         return usage_error(err)
     sys.stdout.write(text)
-    return 0 if report.verdict in PASSING_VERDICTS else 1
+    return report.exit_status
 
 
 if __name__ == "__main__":

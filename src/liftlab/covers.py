@@ -47,7 +47,7 @@ class CoveringPermutationRep:
     def as_system(self) -> MonodromySystem:
         return MonodromySystem(
             range(self.degree),
-            {"a": dict(enumerate(self.perm_a)), "b": dict(enumerate(self.perm_b))},
+            {"a": enumerate(self.perm_a), "b": enumerate(self.perm_b)},
         )
 
 

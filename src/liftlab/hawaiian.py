@@ -200,7 +200,7 @@ def deck_group_hn(level: int) -> list[SignVector]:
     if level > 4:
         return closed_form
     sys = hn_level(level, level)
-    found = deck_search(sys, max_results=2 ** (level + 1))
+    found = deck_search(sys)
     for h in found:
         if any(h[eps] != apply_deck(h[ALL_PLUS], eps) for eps in sys.fibre):
             raise InconsistentModel("centralizer element is not a sign multiplication")

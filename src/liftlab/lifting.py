@@ -3,9 +3,9 @@
 A lifting total space over a rose is represented purely by its monodromy:
 a finite fibre and one bijection per petal, keyed by petal label; the rose
 is nothing more than those keys. Path lifting is then word evaluation,
-path components are orbits of the generated group, and deck transformations
-are fibre bijections commuting with every petal action. The total space is
-never materialized.
+path components are orbits of the generated group, and the deck
+transformations of a connected system are the fibre bijections commuting
+with every petal action. The total space is never materialized.
 
 Word evaluation is left to right: the first letter acts first, matching
 path concatenation. Cycle structure and tower strictness are stated here
@@ -25,10 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from random import Random
-
-
-class SearchBoundExceeded(RuntimeError):
-    """An exhaustive search would exceed its configured bound."""
 
 
 class InconsistentModel(AssertionError):
@@ -71,11 +67,11 @@ def inverse_word(word: LoopWord) -> LoopWord:
 class MonodromySystem:
     """A finite fibre with one bijection per petal of the base rose.
 
-    The petals are the keys of ``actions``, in insertion order. ``metric``,
-    when present, must be an exact rational function on fibre pairs.
-    ``clamped`` flags transitions (petal, point) that exist only to close
-    off a truncated infinite orbit. Systems are never mutated after
-    construction, so they are safe to share across threads and searches.
+    The petals are the keys of ``actions``, in insertion order; an action is a
+    mapping or an iterable of (point, image) pairs. ``metric``, when present,
+    is an exact rational function on fibre pairs. ``clamped`` flags the
+    transitions (petal, point) that only close off a truncated infinite orbit.
+    Systems are never mutated, so they are safe to share across threads.
     """
 
     def __init__(self, fibre, actions, metric=None, clamped=frozenset()):
@@ -285,10 +281,10 @@ def tower_strictness_check(tower: TowerModel) -> tuple[str, ...]:
 # deck transformations
 
 
-def _propagate_equivariant(steps: list[dict], orbit: list, target):
-    """Extend rep -> target equivariantly over the orbit; None on conflict."""
-    h = {orbit[0]: target}
-    stack = [orbit[0]]
+def _propagate_equivariant(steps: list[dict], start, target):
+    """Extend start -> target equivariantly over its orbit; None on conflict."""
+    h = {start: target}
+    stack = [start]
     while stack:
         p = stack.pop()
         hp = h[p]
@@ -301,60 +297,31 @@ def _propagate_equivariant(steps: list[dict], orbit: list, target):
             else:
                 h[q] = image
                 stack.append(q)
-    if len(set(h.values())) != len(orbit):
-        return None
     return h
 
 
-def deck_search(sys: MonodromySystem, max_results: int = 20000) -> list[dict]:
-    """All fibre bijections commuting with every petal action.
+def deck_search(sys: MonodromySystem) -> list[dict]:
+    """Deck transformations of a connected system, in fibre order of the image.
 
-    The centralizer of the generated group inside the symmetric group of the
-    fibre. Candidates are propagated equivariantly from one representative
-    per orbit, so the cost is quadratic in the fibre, not factorial; the
-    number of results is still capped because a trivial action admits every
-    bijection: more than ``max_results`` raise ``SearchBoundExceeded``.
-    Results come sorted by the fibre indices of their images, in fibre
-    order, by construction: orbits come sorted by least fibre index, and an
-    orbit's candidates in fibre order of its least point's image, which
-    decides the first point where two results differ. A transitive action
-    has one orbit, whose candidates are returned as they are.
+    By unique path lifting a deck transformation is fixed by the image y of
+    the first point x0, so x0 -> y is propagated for each y in fibre order and
+    each map without a conflict is kept. ``ValueError`` if the identity misses
+    a point: the system is disconnected, or empty. A map h without a conflict
+    commutes with the group G the petals generate, so Stab(x0) <= Stab(h(x0));
+    G is transitive, so both have order |G|/|fibre| and are equal, which makes
+    h injective. Hence at most |fibre| results, and no bound is needed.
     """
-    orbits = orbit_partition(sys)
+    if not sys.fibre:
+        raise ValueError("deck search needs a connected system, not an empty one")
     steps = _step_tables(sys)
-    per_orbit = []
-    for orbit in orbits:
-        candidates = []
-        for y in sys.fibre:
-            h = _propagate_equivariant(steps, orbit, y)
-            if h is not None:
-                candidates.append(h)
-        per_orbit.append(candidates)
-    if len(per_orbit) == 1:
-        if len(candidates) > max_results:
-            raise SearchBoundExceeded(f"deck search exceeded {max_results} results")
-        return candidates
-
-    results: list[dict] = []
-
-    def backtrack(k: int, used: set, acc: dict) -> None:
-        if k == len(per_orbit):
-            if len(results) >= max_results:
-                raise SearchBoundExceeded(
-                    f"deck search exceeded {max_results} results"
-                )
-            results.append(dict(acc))
-            return
-        for h in per_orbit[k]:
-            image = set(h.values())
-            if image & used:
-                continue
-            acc.update(h)
-            backtrack(k + 1, used | image, acc)
-            for key in h:
-                del acc[key]
-
-    backtrack(0, set(), {})
+    x0 = sys.fibre[0]
+    results = [_propagate_equivariant(steps, x0, x0)]
+    if len(results[0]) < len(sys.fibre):
+        raise ValueError("deck search needs a connected system")
+    for y in sys.fibre[1:]:
+        h = _propagate_equivariant(steps, x0, y)
+        if h is not None:
+            results.append(h)
     return results
 
 

@@ -31,6 +31,11 @@ class Report:
         if self.verdict not in VERDICTS:
             raise ValueError(f"verdict {self.verdict!r} outside {VERDICTS}")
 
+    @property
+    def exit_status(self) -> int:
+        """The exit status of the run, read by ``liftlab`` and the battery."""
+        return 0 if self.verdict in PASSING_VERDICTS else 1
+
     def to_dict(self) -> dict:
         return {
             "schema": SCHEMA,

@@ -9,10 +9,10 @@ from time import perf_counter
 
 import pytest
 
+from liftlab import lifting
 from liftlab.lifting import (
     MAX_WORD_LETTERS,
     MonodromySystem,
-    SearchBoundExceeded,
     TowerModel,
     component_degrees,
     deck_search,
@@ -122,6 +122,10 @@ class TestLifting:
         sys = MonodromySystem([0, 1], {"b": swap, "a": swap})
         assert sys.petals == ("b", "a")
         assert lift_word(sys, parse_loop_word("a b^-1 a"), 0) == 1
+        pairs = MonodromySystem([0, 1], {"b": enumerate([1, 0]), "a": [(0, 1), (1, 0)]})
+        assert pairs.actions == sys.actions and pairs.inverse == sys.inverse
+        with pytest.raises(ValueError, match="not a fibre bijection"):
+            MonodromySystem([0, 1], {"a": [(0, 1), (1, 1)]})
         with pytest.raises(ValueError, match="at least one petal"):
             MonodromySystem([0, 1], {})
 
@@ -260,19 +264,27 @@ class TestDeckSearch:
                 s = h[0]
                 assert all(h[x] == (x + s) % m for x in range(m))
 
-    def test_trivial_action_gives_all_bijections(self):
-        sys = MonodromySystem(range(3), {"a": {x: x for x in range(3)}})
-        assert len(deck_search(sys)) == 6
-
-    def test_bound_exceeded(self):
-        sys = MonodromySystem(range(8), {"a": {x: x for x in range(8)}})
-        with pytest.raises(SearchBoundExceeded):
-            deck_search(sys, max_results=100)
+    @pytest.mark.parametrize("points", [0, 3, 8], ids=["empty", "3", "8"])
+    def test_trivial_action_is_rejected(self, monkeypatch, points):
+        # a trivial action on two or more points is disconnected, and so is an
+        # empty fibre: rejected once the identity's propagation, if any, is done
+        sys = MonodromySystem(range(points), {"a": {x: x for x in range(points)}})
+        propagations = []
+        real = lifting._propagate_equivariant
+        monkeypatch.setattr(lifting, "_propagate_equivariant",
+                            lambda *args: propagations.append(args) or real(*args))
+        with pytest.raises(ValueError, match="needs a connected system"):
+            deck_search(sys)
+        assert [args[1:] for args in propagations] == ([(0, 0)] if points else [])
 
     def test_output_is_a_commuting_group(self):
         rng = Random(12)
-        for _ in range(5):
+        checked = 0
+        while checked < 5:
             sys = random_permutation_system(rng.randrange(2**31), rng.randint(3, 12))
+            if len(orbit_partition(sys)) > 1:
+                continue
+            checked += 1
             decks = deck_search(sys)
             keys = {tuple(sorted((p, h[p]) for p in sys.fibre)) for h in decks}
             identity = {p: p for p in sys.fibre}
@@ -321,12 +333,19 @@ class TestDeckSearch:
             systems.append(union(rng, [random_action(rng, k) for k in sizes]))
         systems.append(MonodromySystem(range(6), {"a": {x: x for x in range(6)}}))
         assert all(len(orbit_partition(sys)) > 1 for sys in systems)
+        # a union is rejected; each of its components is connected, and its
+        # deck transformations are the whole centralizer
         for sys in systems:
-            assert deck_search(sys) == brute_force_centralizer(sys)
+            with pytest.raises(ValueError, match="needs a connected system"):
+                deck_search(sys)
+            for orbit in orbit_partition(sys):
+                part = MonodromySystem(orbit, {
+                    petal: {p: act[p] for p in orbit} for petal, act in sys.actions.items()
+                })
+                assert deck_search(part) == brute_force_centralizer(part)
 
     def test_transitive_matches_brute_force_centralizer(self):
-        # one orbit: the candidates from its least point are the whole
-        # centralizer, returned without a search over orbits
+        # one orbit: the candidates from its first point are the whole centralizer
         rng = Random(31)
         systems = [solenoid_level(2, 2), solenoid_level(3, 1), solenoid_level(6, 1)]
         while len(systems) < 30:
@@ -339,16 +358,23 @@ class TestDeckSearch:
             assert deck_search(sys) == brute_force_centralizer(sys)
 
     @pytest.mark.parametrize("sys", [
-        solenoid_level(2, 3),  # transitive, centralizer of order 8
-        solenoid_level(5, 1),  # transitive, order 5
+        solenoid_level(2, 3),  # centralizer of order 8
+        solenoid_level(5, 1),  # order 5
         MonodromySystem(range(1), {"a": {0: 0}}),  # one point, order 1
         MonodromySystem(range(3), {"a": {x: x for x in range(3)}}),  # three orbits, 3!
     ], ids=["Z8", "Z5", "point", "trivial-3"])
     def test_bound_is_exact(self, sys):
-        n = len(brute_force_centralizer(sys))
-        with pytest.raises(SearchBoundExceeded):
-            deck_search(sys, max_results=n - 1)
-        assert len(deck_search(sys, max_results=n)) == n
+        # at most |fibre| maps, each a bijection; a regular action attains it,
+        # and a disconnected system, whose centralizer can exceed it, is rejected
+        if len(orbit_partition(sys)) > 1:
+            assert len(brute_force_centralizer(sys)) > len(sys.fibre)
+            with pytest.raises(ValueError, match="needs a connected system"):
+                deck_search(sys)
+            return
+        decks = deck_search(sys)
+        assert decks == brute_force_centralizer(sys)
+        assert len(decks) == len(sys.fibre)
+        assert all(sorted(h) == sorted(h.values()) == sorted(sys.fibre) for h in decks)
 
 
 class TestTowers:

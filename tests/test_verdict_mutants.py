@@ -6,9 +6,9 @@ holds. Run through the command line, the experiment must then report
 ``fail`` (or ``no-witness-at-horizon`` for a missing witness) and exit 1.
 A verdict that ignored the conjunct would still pass under its mutant.
 
-Covered so far: mt-generate, mt-dynamics, tower-equicontinuity,
-spiral-orbits, rotation-density, amalgam-rigidity, amalgam-deck and
-covers-obstruction.
+Covered: all ten experiments (solenoid-lift, mt-generate, mt-dynamics,
+tower-equicontinuity, spiral-orbits, rotation-density, amalgam-rigidity,
+amalgam-deck, covers-obstruction and hawaiian-suite).
 In spiral-orbits the conjunct ``len(orbits) == 3`` has no mutant of its
 own: the orbit sizes conjunct implies it. In tower-equicontinuity both
 modulus conjuncts read ``delta_level``, which ``equicontinuity_modulus``
@@ -26,6 +26,12 @@ the centralizer cross-check runs. There the cross-check equals the
 survivors' binary offsets only if exactly one pair survives with offset 0,
 so the "single survivor" mutant fails it too; the "identity" mutant keeps
 one survivor with binary offset 0 and fails ``identity_only`` alone.
+hawaiian-suite runs to level 5: up to level 4 ``deck_group_hn`` checks
+``apply_deck`` against the searched group, so only a translation that first
+appears at level 5 can break the flip-commute loop alone. Its fibre-size and
+deck-order rows mutate the functions that return the closed forms
+``range(2**n)`` and, above level 4, the unsearched deck group: unmutated,
+both conjuncts hold by construction.
 
 A second table breaks a model so that two computations that must agree
 on it do not; the run must still end as ``fail`` with exit 1 and a report
@@ -48,7 +54,8 @@ ARGV = {
     "rotation-density": ["--horizon", "12"],
     "amalgam-rigidity": ["--seed", "1", "--precision", "16", "--words", "4",
                          "--depth", "6"],
-    "hawaiian-suite": ["--seed", "1", "--level", "3", "--words", "20"],
+    "hawaiian-suite": ["--seed", "1", "--level", "5", "--circles", "5", "--words", "20"],
+    "solenoid-lift": ["--level", "3", "--word", "a^5 a^-2"],
     "amalgam-deck": ["--precision", "4"],
     "covers-obstruction": ["--max-degree", "4"],
 }
@@ -166,6 +173,49 @@ MUTANTS = {
     "the centralizer cross-check agrees": (
         "amalgam-deck", amalgam, "centralizer_deck_search",
         lambda real: lambda model: real(model) + [1], "fail"),
+    "every level graph is connected": (
+        "hawaiian-suite", hawaiian, "is_connected",
+        lambda real: lambda graph, omit_circle=None: (
+            omit_circle is not None and real(graph, omit_circle)), "fail"),
+    "every level-n fibre has 2^n points": (
+        "hawaiian-suite", hawaiian.HnGraph, "vertices",
+        lambda real: lambda graph: range(2 ** graph.level + 1), "fail"),
+    "the boundary map is onto": (
+        "hawaiian-suite", hawaiian, "connect_fibre_points",
+        lambda real: lambda level, source, target: real(level, source, target)[1:],
+        "fail"),
+    "the deck group has order 2^n": (
+        "hawaiian-suite", hawaiian, "deck_group_hn",
+        lambda real: lambda level: real(level)[1:], "fail"),
+    "deck translations commute with the flips": (
+        "hawaiian-suite", hawaiian, "apply_deck",
+        lambda real: lambda delta, eps: (
+            real(delta, eps) ^ 1 if delta >= 2**4 and eps == 1 else real(delta, eps)),
+        "fail"),
+    "every kernel word lifts to a loop": (
+        "hawaiian-suite", hawaiian, "kernel_check",
+        lambda real: lambda word, level: False, "fail"),
+    "the tower is strict": (
+        "hawaiian-suite", lifting, "tower_strictness_check",
+        lambda real: lambda tower: ("bond 0: not onto the level-1 fibre",), "fail"),
+    "lifting commutes with the bonds": (
+        "hawaiian-suite", lifting, "lift_word",
+        lambda real: lambda sys, word, start: real(sys, word, start) ^ 1, "fail"),
+    "dropping a circle disconnects": (
+        "hawaiian-suite", hawaiian, "is_connected",
+        lambda real: lambda graph, omit_circle=None: (
+            omit_circle is not None or real(graph)), "fail"),
+    "the lift ends at start + exponent sum": (
+        "solenoid-lift", lifting, "lift_word_flagged",
+        lambda real: lambda sys, word, start: (
+            (real(sys, word, start)[0] + 1) % len(sys.fibre), False), "fail"),
+    "the loop acts transitively": (
+        "solenoid-lift", lifting, "orbit_partition",
+        lambda real: lambda sys: [part for orbit in real(sys)
+                                  for part in (orbit[:4], orbit[4:])], "fail"),
+    "no truncation artifact is crossed": (
+        "solenoid-lift", lifting, "lift_word_flagged",
+        lambda real: lambda sys, word, start: (real(sys, word, start)[0], True), "fail"),
     "only degree 1 is admissible": (
         "covers-obstruction", covers, "factorization_obstruction",
         lambda real: lambda degree: real(degree) or degree == 2, "fail"),
