@@ -401,8 +401,7 @@ def run_spiral_orbits(horizon: int):
     top_fixed = lifting.lift_word(sys, lifting.parse_loop_word("a"), "top") == "top"
 
     expected = (
-        len(orbits) == 3
-        and sorted(len(o) for o in orbits) == [1, 1, 2 * horizon + 1]
+        sorted(len(o) for o in orbits) == [1, 1, 2 * horizon + 1]
         and set(closure) == set(spiral_orbit) | {"bot", "top"}
         and top_fixed
     )

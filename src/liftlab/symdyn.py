@@ -68,10 +68,7 @@ def mt_doubling(n: int) -> str:
 
 def mt_prefix(length: int) -> str:
     """The first ``length`` symbols of the Thue-Morse sequence."""
-    n = 0
-    while (1 << n) < length:
-        n += 1
-    return mt_doubling(n)[:length]
+    return mt_doubling(max(length - 1, 0).bit_length())[:length]
 
 
 # symbol l of the block is the parity of the binary digit sum of l < 256
@@ -100,25 +97,24 @@ def popcount_parity_prefix(length: int) -> str:
 class CentralWord:
     """Window of a two-sided binary sequence over indices -radius..radius-1."""
 
-    radius: int
     symbols: str
 
     def __post_init__(self) -> None:
-        if self.radius < 0:
-            raise ValueError("radius must be >= 0")
-        if len(self.symbols) != 2 * self.radius:
-            raise ValueError(
-                f"window of radius {self.radius} needs {2 * self.radius} symbols"
-            )
+        if len(self.symbols) % 2:
+            raise ValueError(f"a window needs an even number of symbols, got {len(self.symbols)}")
         # ASCII encodes one byte per symbol; what is left without 0/1 is foreign
         if not self.symbols.isascii() or self.symbols.encode().translate(None, b"01"):
             raise ValueError("window symbols must be 0/1")
+        # not a field; unlike a self.__dict__ write, this keeps attribute reads fast
+        object.__setattr__(self, "radius", len(self.symbols) // 2)
 
 
 def omega0(radius: int) -> CentralWord:
     """Two-sided base point: Thue-Morse on i >= 0, its reversal on i < 0."""
-    t = mt_prefix(radius) if radius else ""
-    return CentralWord(radius, t[::-1] + t)
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    t = mt_prefix(radius)
+    return CentralWord(t[::-1] + t)
 
 
 def shift(x: CentralWord, t: int) -> CentralWord:
@@ -129,14 +125,14 @@ def shift(x: CentralWord, t: int) -> CentralWord:
         )
     m = x.radius - abs(t)
     lo = (t - m) + x.radius
-    return CentralWord(m, x.symbols[lo : lo + 2 * m])
+    return CentralWord(x.symbols[lo : lo + 2 * m])
 
 
 def truncate_window(x: CentralWord, radius: int) -> CentralWord:
-    if radius > x.radius:
-        raise WindowError(f"cannot grow window from {x.radius} to {radius}")
+    if not 0 <= radius <= x.radius:
+        raise WindowError(f"cannot cut a window of radius {x.radius} to radius {radius}")
     lo = x.radius - radius
-    return CentralWord(radius, x.symbols[lo : lo + 2 * radius])
+    return CentralWord(x.symbols[lo : lo + 2 * radius])
 
 
 def word_metric(x: CentralWord, y: CentralWord) -> int:
@@ -171,6 +167,8 @@ def factor_counts(word: str, lengths: range) -> dict[int, int]:
 
 def aperiodicity_check(word: str, max_period: int) -> int | None:
     """Least global period <= max_period of the word, or None."""
+    if max_period < 1:
+        raise ValueError(f"max_period must be >= 1, got {max_period}")
     if len(word) < 2 * max_period:
         raise WindowError(
             f"need a word of length >= {2 * max_period} to scan periods <= {max_period}"
@@ -188,6 +186,8 @@ def max_recurrence_gap(word: str, length: int) -> tuple[int | None, str]:
     factor, and a factor achieving it. If some factor occurs only once, the
     gap is None and the factor is the first such one.
     """
+    if length < 1 or length > len(word):
+        raise ValueError(f"factor length {length} outside [1, {len(word)}]")
     positions: dict[str, list[int]] = {}
     for i in range(len(word) - length + 1):
         positions.setdefault(word[i : i + length], []).append(i)
@@ -232,16 +232,12 @@ def omega0_windows(radius: int, count: int) -> list[CentralWord]:
     out = []
     for c in range(count):
         lo = c - radius + source.radius
-        out.append(CentralWord(radius, source.symbols[lo : lo + 2 * radius]))
+        out.append(CentralWord(source.symbols[lo : lo + 2 * radius]))
     return out
 
 
-def _signed_shifts(horizon: int, include_zero: bool) -> list[int]:
-    shifts = [0] if include_zero else []
-    for t in range(1, horizon + 1):
-        shifts.append(t)
-        shifts.append(-t)
-    return shifts
+def _signed_shifts(horizon: int) -> list[int]:
+    return [t for u in range(1, horizon + 1) for t in (u, -u)]
 
 
 def proximal_search(
@@ -262,7 +258,7 @@ def proximal_search(
             f"windows of radius {windows[0].radius} cannot shift by {horizon} "
             f"and still certify depth {depth}"
         )
-    shifts = _signed_shifts(horizon, include_zero=True)
+    shifts = [0, *_signed_shifts(horizon)]
     for i, j in itertools.combinations(range(len(windows)), 2):
         x, y = windows[i], windows[j]
         if x == y:
@@ -293,7 +289,7 @@ def non_equicontinuity_witness(
     for idx, w in enumerate(windows):
         lo = w.radius - depth + 1
         buckets.setdefault(w.symbols[lo : lo + 2 * depth - 1], []).append(idx)
-    shifts = _signed_shifts(horizon, include_zero=False)
+    shifts = _signed_shifts(horizon)
     for members in buckets.values():
         for a, b in itertools.combinations(members, 2):
             x, y = windows[a], windows[b]

@@ -23,9 +23,28 @@ class TestSteps:
         decoded = glue_forward(default_glue(), digits)
         value = (digits_to_int(decoded.digits, 3) + 1) % 3 ** len(decoded.digits)
         step = b_step(digits)
-        assert step.ternary_precision == len(decoded.digits)
-        back = glue_forward(default_glue(), step.digits)
+        back = glue_forward(default_glue(), step)
+        assert len(back.digits) == len(decoded.digits)
         assert digits_to_int(back.digits, 3) == value
+
+    def test_output_codewords_are_the_ternary_precision(self):
+        """Every codeword of the output is one certified ternary digit.
+
+        Decoding the output leaves nothing over and yields as many ternary
+        digits as decoding the input did; re-encoding them gives the output
+        back, so its length is exactly their binary precision.
+        """
+        glue = default_glue()
+        for m2 in range(2, 9):
+            for x in range(2**m2):
+                digits = int_to_digits(x, 2, m2)
+                m3 = len(glue_forward(glue, digits).digits)
+                if m3 == 0:
+                    continue
+                out = b_step(digits)
+                decoded = glue_forward(glue, out)
+                assert decoded.leftover == "" and len(decoded.digits) == m3
+                assert glue_backward(glue, decoded.digits) == out
 
     def test_b_inverse_undoes_b_at_certified_precision(self):
         def b_inverse(digits):
@@ -38,7 +57,7 @@ class TestSteps:
         for x in range(0, 256, 7):
             digits = int_to_digits(x, 2, 8)
             forward = b_step(digits)
-            back = b_inverse(forward.digits)
+            back = b_inverse(forward)
             p = min(len(digits), len(back))
             assert digits[:p] == back[:p]
 
@@ -47,9 +66,8 @@ class TestSteps:
         for start in ("0110010110", "1111111111", "0000000001"):
             digits = start
             for j in range(1, 6):
-                step = b_step(digits)
-                assert step.ternary_precision >= 10 // 2 - j
-                digits = step.digits
+                digits = b_step(digits)
+                assert len(glue_forward(default_glue(), digits).digits) >= 10 // 2 - j
 
 
 class TestDeckSearch:

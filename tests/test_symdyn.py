@@ -132,15 +132,22 @@ class TestWindows:
     @pytest.mark.parametrize("position", [0, 3, 7])
     def test_window_rejects_a_foreign_symbol_anywhere(self, bad, position):
         symbols = "01101001"
-        CentralWord(4, symbols)
+        CentralWord(symbols)
         with pytest.raises(ValueError, match="0/1") as raised:
-            CentralWord(4, symbols[:position] + bad + symbols[position + 1 :])
+            CentralWord(symbols[:position] + bad + symbols[position + 1 :])
         assert type(raised.value) is ValueError  # the window's error, never a codec's
 
     def test_window_rejects_a_wrong_length(self):
-        for symbols in ("011", "01100", ""):
-            with pytest.raises(ValueError, match="needs 4 symbols"):
-                CentralWord(2, symbols)
+        for symbols in ("0", "011", "01100"):
+            with pytest.raises(ValueError, match="even number of symbols"):
+                CentralWord(symbols)
+        assert [CentralWord(s).radius for s in ("", "01", "0110")] == [0, 1, 2]
+
+    def test_negative_radius_is_rejected(self):
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            omega0(-1)
+        with pytest.raises(WindowError, match="to radius -1"):
+            truncate_window(omega0(2), -1)
 
     def test_metric_examples(self):
         # exponents v of 2^-v; full agreement certifies only d(x, x) <= 2^-8
@@ -148,11 +155,11 @@ class TestWindows:
         assert word_metric(x, x) == 8
         assert word_metric(omega0(0), omega0(0)) == 0
         flipped_center = CentralWord(
-            8, x.symbols[:8] + ("1" if x.symbols[8] == "0" else "0") + x.symbols[9:]
+            x.symbols[:8] + ("1" if x.symbols[8] == "0" else "0") + x.symbols[9:]
         )
         assert word_metric(x, flipped_center) == 0
         flipped_three = CentralWord(
-            8, x.symbols[:11] + ("1" if x.symbols[11] == "0" else "0") + x.symbols[12:]
+            x.symbols[:11] + ("1" if x.symbols[11] == "0" else "0") + x.symbols[12:]
         )
         assert word_metric(x, flipped_three) == 3
 
@@ -167,7 +174,7 @@ class TestWindows:
             bits = data.draw(
                 st.lists(st.sampled_from("01"), min_size=2 * radius, max_size=2 * radius)
             )
-            return CentralWord(radius, "".join(bits))
+            return CentralWord("".join(bits))
 
         x, y, z = window(), window(), window()
         assert word_metric(x, y) == word_metric(y, x)
@@ -189,7 +196,7 @@ class TestWindows:
             ("1" if b == "0" else "0") if i - radius in flips else b
             for i, b in enumerate(bits)
         )
-        x, y = CentralWord(radius, bits), CentralWord(radius, other)
+        x, y = CentralWord(bits), CentralWord(other)
 
         def ring_by_ring(x, y):
             def symbol(w, i):
@@ -286,6 +293,16 @@ class TestAperiodicityRecurrence:
         with pytest.raises(WindowError):
             aperiodicity_check("0101", 3)
 
+    @pytest.mark.parametrize("max_period", [0, -1])
+    def test_no_period_scan_below_one(self, max_period):
+        with pytest.raises(ValueError, match="max_period must be >= 1"):
+            aperiodicity_check("0101", max_period)
+
+    @pytest.mark.parametrize("length", [5, 0, -1])
+    def test_recurrence_rejects_a_factor_length_outside_the_word(self, length):
+        with pytest.raises(ValueError, match=rf"factor length {length} outside \[1, 4\]"):
+            max_recurrence_gap("0110", length)
+
     def test_zero_recurs_quickly(self):
         gap, _factor = max_recurrence_gap(mt_prefix(64), 1)
         assert gap <= 3
@@ -316,7 +333,7 @@ class TestWitnessSearches:
 
     def test_proximal_none_for_swapped_constants(self):
         m = 8
-        windows = [CentralWord(m, "0" * 2 * m), CentralWord(m, "1" * 2 * m)]
+        windows = [CentralWord("0" * 2 * m), CentralWord("1" * 2 * m)]
         assert proximal_search(windows, 1, 4) is None
 
     def test_separation_on_mt_all_depths(self):

@@ -9,8 +9,8 @@ A verdict that ignored the conjunct would still pass under its mutant.
 Covered: all ten experiments (solenoid-lift, mt-generate, mt-dynamics,
 tower-equicontinuity, spiral-orbits, rotation-density, amalgam-rigidity,
 amalgam-deck, covers-obstruction and hawaiian-suite).
-In spiral-orbits the conjunct ``len(orbits) == 3`` has no mutant of its
-own: the orbit sizes conjunct implies it. In tower-equicontinuity both
+In spiral-orbits the verdict has no ``len(orbits) == 3`` conjunct: the
+sorted orbit sizes [1, 1, 2h+1] already say so. In tower-equicontinuity both
 modulus conjuncts read ``delta_level``, which ``equicontinuity_modulus``
 sets to the level or raises, so only a mutant of its table flips them. The
 amalgam-rigidity mutants skew the doubling that
