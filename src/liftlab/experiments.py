@@ -180,7 +180,6 @@ def run_amalgam_rigidity(precision: int, words: int, depth: int, seed: int):
     rng = Random(seed)
 
     rows = []
-    all_diverge = True
     for _ in range(words):
         while True:
             a = TruncatedPadic(2, precision, rng.randrange(1, 2**precision))
@@ -189,7 +188,6 @@ def run_amalgam_rigidity(precision: int, words: int, depth: int, seed: int):
                 break
             except GluePrecisionError:
                 continue
-        all_diverge = all_diverge and report.diverges
         rows.append(
             {
                 "a": a.digits(),
@@ -206,9 +204,9 @@ def run_amalgam_rigidity(precision: int, words: int, depth: int, seed: int):
         "binary_precision": precision,
         "iterations": depth,
         "samples": rows,
-        "all_diverge": all_diverge,
+        "all_diverge": all(row["diverges"] for row in rows),
     }
-    return ("pass" if all_diverge else "fail"), payload
+    return ("pass" if payload["all_diverge"] else "fail"), payload
 
 
 def run_amalgam_deck(precision: int):
@@ -240,16 +238,12 @@ def run_amalgam_deck(precision: int):
 def run_covers_obstruction(max_degree: int):
     exhaustive_to = min(max_degree, 8)
     degrees = {}
-    admissible = []
-    clean = True
     for d in range(1, max_degree + 1):
         entry: dict = {
             "admissible": covers.factorization_obstruction(d),
             "power_of_2": covers.is_power(d, 2),
             "power_of_3": covers.is_power(d, 3),
         }
-        if entry["admissible"]:
-            admissible.append(d)
         if 2 <= d <= exhaustive_to:
             reps = list(covers.iter_connected_coverings(d))
             simultaneous = sum(
@@ -261,7 +255,6 @@ def run_covers_obstruction(max_degree: int):
             entry["mode"] = "exhaustive"
             entry["classes"] = len(reps)
             entry["simultaneously_compatible"] = simultaneous
-            clean = clean and simultaneous == 0
         elif d > 1 and (entry["power_of_2"] or entry["power_of_3"]):
             # complete over the only covers that satisfy one side's condition
             petal, other, other_base = (
@@ -276,15 +269,15 @@ def run_covers_obstruction(max_degree: int):
             entry["mode"] = "full-cycle-complete"
             entry["constrained_classes"] = checked
             entry["simultaneously_compatible"] = bad
-            clean = clean and bad == 0
         elif d > 1:
             # neither side's cycle condition is satisfiable at this degree
             entry["mode"] = "arithmetic"
             entry["simultaneously_compatible"] = 0
         degrees[str(d)] = entry
-    ok = clean and admissible == [1]
+    admissible = [int(d) for d, entry in degrees.items() if entry["admissible"]]
+    clean = not any(entry.get("simultaneously_compatible") for entry in degrees.values())
     payload = {"admissible_degrees": admissible, "degrees": degrees}
-    return ("pass" if ok else "fail"), payload
+    return ("pass" if clean and admissible == [1] else "fail"), payload
 
 
 def _deck_commutes_with_flips(n: int, deck, fibre) -> bool:

@@ -49,6 +49,8 @@ def parity_boundary(word: LoopWord, level: int) -> SignVector:
     parity = 0
     for index, _exp in word:
         if index <= level:
+            if index < 1:
+                raise ValueError(f"circles are numbered from 1, got {index!r}")
             parity ^= 1 << (level - index)
     return parity
 

@@ -205,25 +205,18 @@ def orbit_closure(sys: MonodromySystem, orbit: list) -> list:
     if sys.metric is None:
         raise ValueError("orbit closure needs a metric on the fibre")
     members = set(orbit)
-    flagged_ends = set()
-    for petal, point in sys.clamped:
-        if point in members:
-            flagged_ends.add(point)
-            flagged_ends.add(sys.actions[petal][point])
+    flagged_ends = members & {
+        end for petal, point in sys.clamped if point in members
+        for end in (point, sys.actions[petal][point])
+    }
     closure = list(orbit)
     if flagged_ends:
         for p in sys.fibre:
-            if p in members:
-                continue
-            best, nearest = None, set()
-            for q in orbit:
-                d = sys.metric(p, q)
-                if best is None or d < best:
-                    best, nearest = d, {q}
-                elif d == best:
-                    nearest.add(q)
-            if nearest & flagged_ends:
-                closure.append(p)
+            if p not in members:
+                distance = {q: sys.metric(p, q) for q in orbit}
+                nearest = min(distance.values())
+                if any(distance[q] == nearest for q in flagged_ends):
+                    closure.append(p)
     return sorted(closure, key=sys.index.__getitem__)
 
 

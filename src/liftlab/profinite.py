@@ -43,6 +43,8 @@ def int_to_digits(value: int, base: int, length: int) -> str:
     """Residue as a digit string, least significant digit first."""
     if not 2 <= base <= len(_DIGIT_CHARS):
         raise ValueError(f"digit strings support bases 2..10, got {base}")
+    if length < 0:
+        raise ValueError(f"digit string length must be >= 0, got {length}")
     if base == 2:  # a sentinel bit above the residue keeps the leading zeros
         top = 1 << length
         return format(value & (top - 1) | top, "b")[:0:-1]
@@ -91,11 +93,7 @@ class TruncatedPadic:
             raise ValueError(
                 f"residue {self.residue} outside [0, {self.base}^{self.precision})"
             )
-        self.__dict__["modulus"] = modulus  # computed once; not a field
-
-    @classmethod
-    def from_digits(cls, digits: str, base: int) -> "TruncatedPadic":
-        return cls(base, len(digits), digits_to_int(digits, base))
+        object.__setattr__(self, "modulus", modulus)  # computed once; not a field
 
     def digits(self) -> str:
         return int_to_digits(self.residue, self.base, self.precision)
@@ -212,7 +210,7 @@ def glue_value(x: TruncatedPadic) -> TruncatedPadic:
     res = glue_forward(default_glue(), x.digits())
     if not res.digits:
         raise GluePrecisionError(f"{x.precision} binary digits determine no base-3 digit")
-    return TruncatedPadic.from_digits(res.digits, 3)
+    return TruncatedPadic(3, len(res.digits), digits_to_int(res.digits, 3))
 
 
 def normalized_glue(x: TruncatedPadic) -> TruncatedPadic:

@@ -68,6 +68,8 @@ def mt_doubling(n: int) -> str:
 
 def mt_prefix(length: int) -> str:
     """The first ``length`` symbols of the Thue-Morse sequence."""
+    if length < 0:
+        raise ValueError(f"prefix length must be >= 0, got {length}")
     return mt_doubling(max(length - 1, 0).bit_length())[:length]
 
 
@@ -83,6 +85,8 @@ def popcount_parity_prefix(length: int) -> str:
     parity(256h + l) = parity(h) xor parity(l): block h of the word is the
     256-symbol parity block, complemented when h has odd digit sum.
     """
+    if length < 0:
+        raise ValueError(f"prefix length must be >= 0, got {length}")
     full, rest = divmod(length, 256)
     blocks = [_PARITY_BLOCKS[high.bit_count() & 1] for high in range(full)]
     blocks.append(_PARITY_BLOCKS[full.bit_count() & 1][:rest])

@@ -100,6 +100,25 @@ class TestLifts:
         with pytest.raises(ValueError):
             lift_word_hn(2, (), 0b100)
 
+    def test_closed_form_matches_the_table_model(self):
+        """Every word of length <= 4 over circles 1..4, from every start."""
+        letters = [(j, e) for j in range(1, 5) for e in (1, -1)]
+        words = [w for k in range(5) for w in itertools.product(letters, repeat=k)]
+        for n in range(1, 5):
+            system = hn_level(n, 4)
+            for word in words:
+                for start in all_sign_vectors(n):
+                    assert lift_word_hn(n, word, start) == lift_word(system, word, start)
+
+    @pytest.mark.parametrize("circle", [0, -1])
+    def test_circles_below_one_are_rejected(self, circle):
+        with pytest.raises(ValueError, match="circles are numbered from 1"):
+            lift_word_hn(2, ((circle, 1),), 0)
+        with pytest.raises(ValueError, match="circles are numbered from 1"):
+            kernel_check(((circle, 1), (circle, -1)), 2)
+        with pytest.raises(ValueError, match="unknown petal"):
+            lift_word(hn_level(2, 4), ((circle, 1),), 0)
+
 
 class TestConnectivityAndSurjectivity:
     def test_level_one_graph(self):

@@ -199,6 +199,19 @@ class TestOrbits:
         orbit = orbit_partition(sys)[0]
         assert orbit_closure(sys, orbit) == orbit
 
+    def test_closure_tie_with_a_flagged_end_counts_as_approached(self):
+        # orbit 0 -> 1 -> 2 -> 0 on a line; the wrap 2 -> 0 is flagged, so 0
+        # and 2 are flagged ends and 1 is not. "tie" sits midway between 1 and
+        # 2; "near" is strictly nearest 1.
+        position = {0: 0, 1: 10, 2: 20, "tie": 15, "near": 9}
+        sys = MonodromySystem(
+            position,
+            {"a": {0: 1, 1: 2, 2: 0, "tie": "tie", "near": "near"}},
+            metric=lambda p, q: Fraction(abs(position[p] - position[q])),
+            clamped={("a", 2)},
+        )
+        assert orbit_closure(sys, [0, 1, 2]) == [0, 1, 2, "tie"]
+
     def test_closure_measures_each_pair_once(self):
         spiral = spiral_system(6)
         seen = []

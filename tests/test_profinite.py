@@ -256,6 +256,11 @@ class TestDigitStrings:
         assert digits_to_int("", 3) == 0
         assert int_to_digits(5, 3, 0) == ""
 
+    @pytest.mark.parametrize("base", [2, 3])
+    def test_negative_length_rejected(self, base):
+        with pytest.raises(ValueError, match="length must be >= 0, got -1"):
+            int_to_digits(5, base, -1)
+
     @pytest.mark.parametrize("base", [-2, 0, 1, 11, 16])
     def test_base_outside_two_to_ten_rejected(self, base):
         with pytest.raises(ValueError, match="bases 2..10"):

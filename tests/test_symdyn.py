@@ -67,6 +67,12 @@ class TestGenerators:
         assert mt_prefix(10) == oracle_thue_morse(10)
         assert mt_prefix(1000) == oracle_thue_morse(1000)
 
+    @pytest.mark.parametrize("length", [-1, -300])
+    def test_negative_prefix_length_is_rejected(self, length):
+        for route in (mt_prefix, popcount_parity_prefix):
+            with pytest.raises(ValueError, match=f"prefix length must be >= 0, got {length}"):
+                route(length)
+
     def test_block_parity_and_interleave_match_oracle(self):
         # the parity word is built 256 symbols at a time, so probe either side
         # of block edges, and lengths whose block index has either digit parity
