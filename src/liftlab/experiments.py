@@ -235,8 +235,11 @@ def run_amalgam_deck(precision: int):
     return ("pass" if ok else "fail"), payload
 
 
+# degrees above this take the full-cycle census; read at call time
+EXHAUSTIVE_MAX_DEGREE = 8
+
+
 def run_covers_obstruction(max_degree: int):
-    exhaustive_to = min(max_degree, 8)
     degrees = {}
     for d in range(1, max_degree + 1):
         entry: dict = {
@@ -244,35 +247,28 @@ def run_covers_obstruction(max_degree: int):
             "power_of_2": covers.is_power(d, 2),
             "power_of_3": covers.is_power(d, 3),
         }
-        if 2 <= d <= exhaustive_to:
-            reps = list(covers.iter_connected_coverings(d))
-            simultaneous = sum(
-                1
-                for rep in reps
-                if covers.cyclic_quotient_compatible(rep, "a", 2)
-                and covers.cyclic_quotient_compatible(rep, "b", 3)
-            )
-            entry["mode"] = "exhaustive"
-            entry["classes"] = len(reps)
+        if d > 1:
+            if d <= EXHAUSTIVE_MAX_DEGREE:
+                mode, key = "exhaustive", "classes"
+                reps = covers.iter_connected_coverings(d)
+            elif entry["power_of_2"] or entry["power_of_3"]:
+                # complete over the only covers that satisfy one side's
+                # condition; that side holds on each by construction
+                petal = "a" if entry["power_of_2"] else "b"
+                mode, key = "full-cycle-complete", "constrained_classes"
+                reps = covers.full_cycle_coverings(d, petal)
+            else:
+                # neither side's cycle condition is satisfiable at this degree
+                mode, key, reps = "arithmetic", None, ()
+            count = simultaneous = 0
+            for rep in reps:
+                count += 1
+                a_side = covers.cyclic_quotient_compatible(rep, "a", 2)
+                simultaneous += a_side and covers.cyclic_quotient_compatible(rep, "b", 3)
+            entry["mode"] = mode
+            if key:
+                entry[key] = count
             entry["simultaneously_compatible"] = simultaneous
-        elif d > 1 and (entry["power_of_2"] or entry["power_of_3"]):
-            # complete over the only covers that satisfy one side's condition
-            petal, other, other_base = (
-                ("a", "b", 3) if entry["power_of_2"] else ("b", "a", 2)
-            )
-            checked = 0
-            bad = 0
-            for rep in covers.full_cycle_coverings(d, petal):
-                checked += 1
-                if covers.cyclic_quotient_compatible(rep, other, other_base):
-                    bad += 1
-            entry["mode"] = "full-cycle-complete"
-            entry["constrained_classes"] = checked
-            entry["simultaneously_compatible"] = bad
-        elif d > 1:
-            # neither side's cycle condition is satisfiable at this degree
-            entry["mode"] = "arithmetic"
-            entry["simultaneously_compatible"] = 0
         degrees[str(d)] = entry
     admissible = [int(d) for d, entry in degrees.items() if entry["admissible"]]
     clean = not any(entry.get("simultaneously_compatible") for entry in degrees.values())

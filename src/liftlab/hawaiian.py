@@ -3,10 +3,13 @@
 The base is the union of N shrinking circles through one point, truncated
 to finitely many circles. Level n of the tower doubles the first n circles:
 its fibre is the sign vectors {+-1}^n, circle j <= n flips coordinate j,
-and circles beyond n act trivially. Words are ``lifting.LoopWord``s whose
-petals are the circle numbers 1..N, the petals of ``hn_level``. Lifting a
-word therefore only sees the per-letter parity, which is the boundary map
-into (Z/2)^n computed by ``parity_boundary``.
+and circles beyond n act trivially. Words are ``lifting.LoopWord``s over
+circles j >= 1. Lifting a word therefore only sees the per-letter parity,
+which is the boundary map into (Z/2)^n computed by ``parity_boundary``.
+This closed form is the level-n monodromy of the whole nest, where a circle
+above n acts trivially at every truncation N: ``parity_boundary``,
+``lift_word_hn`` and ``kernel_check`` take no N, and they agree with
+``hn_level(n, N)`` on words over its petals 1..N.
 
 Graphs, connectivity, the deck group (coordinatewise sign multiplications)
 and the kernel characterizations are all exact finite checks at level n;
@@ -45,7 +48,7 @@ def random_sign_vector(rng, level: int) -> SignVector:
 
 
 def parity_boundary(word: LoopWord, level: int) -> SignVector:
-    """Per-circle signed letter count mod 2, for circles 1..level."""
+    """Per-circle signed letter count mod 2; circles above the level add 0."""
     parity = 0
     for index, _exp in word:
         if index <= level:
@@ -56,7 +59,7 @@ def parity_boundary(word: LoopWord, level: int) -> SignVector:
 
 
 def lift_word_hn(level: int, word: LoopWord, start: SignVector) -> SignVector:
-    """Endpoint of the lift: coordinate j flips once per odd letter count."""
+    """Endpoint of the lift: flip coordinate j <= level iff circle j's count is odd."""
     if not 0 <= start < 2**level:
         raise ValueError(f"start must be a sign vector in range(2**{level})")
     return start ^ parity_boundary(word, level)
@@ -76,7 +79,7 @@ def connect_fibre_points(
 
 
 def kernel_check(word: LoopWord, level: int) -> bool:
-    """Zero boundary iff the lift fixes every start; both computed, compared."""
+    """Zero boundary iff the lift fixes every start (at any N); both compared."""
     parity_trivial = parity_boundary(word, level) == 0
     lift_trivial = all(
         lift_word_hn(level, word, start) == start

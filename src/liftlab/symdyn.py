@@ -263,8 +263,7 @@ def proximal_search(
             f"and still certify depth {depth}"
         )
     shifts = [0, *_signed_shifts(horizon)]
-    for i, j in itertools.combinations(range(len(windows)), 2):
-        x, y = windows[i], windows[j]
+    for x, y in itertools.combinations(windows, 2):
         if x == y:
             continue
         for t in shifts:
@@ -289,14 +288,13 @@ def non_equicontinuity_witness(
             f"and still certify depth {depth}"
         )
     # Pairs must agree to the requested depth first; bucket on the central block.
-    buckets: dict[str, list[int]] = {}
-    for idx, w in enumerate(windows):
+    buckets: dict[str, list[CentralWord]] = {}
+    for w in windows:
         lo = w.radius - depth + 1
-        buckets.setdefault(w.symbols[lo : lo + 2 * depth - 1], []).append(idx)
+        buckets.setdefault(w.symbols[lo : lo + 2 * depth - 1], []).append(w)
     shifts = _signed_shifts(horizon)
     for members in buckets.values():
-        for a, b in itertools.combinations(members, 2):
-            x, y = windows[a], windows[b]
+        for x, y in itertools.combinations(members, 2):
             if x == y:
                 continue
             start = word_metric(x, y)

@@ -101,7 +101,11 @@ class TestLifts:
             lift_word_hn(2, (), 0b100)
 
     def test_closed_form_matches_the_table_model(self):
-        """Every word of length <= 4 over circles 1..4, from every start."""
+        """Every word of length <= 4 over circles 1..4, from every start.
+
+        The closed form is the monodromy of the whole nest, so it needs no N:
+        a circle far above the level fixes the start, as at every truncation.
+        """
         letters = [(j, e) for j in range(1, 5) for e in (1, -1)]
         words = [w for k in range(5) for w in itertools.product(letters, repeat=k)]
         for n in range(1, 5):
@@ -109,6 +113,8 @@ class TestLifts:
             for word in words:
                 for start in all_sign_vectors(n):
                     assert lift_word_hn(n, word, start) == lift_word(system, word, start)
+        word = ((99, 1),)
+        assert lift_word_hn(2, word, 0) == 0 == lift_word(hn_level(2, 99), word, 0)
 
     @pytest.mark.parametrize("circle", [0, -1])
     def test_circles_below_one_are_rejected(self, circle):
@@ -175,6 +181,7 @@ class TestKernelCharacterizations:
         commutator = ((1, 1), (2, 1), (1, -1), (2, -1))
         assert kernel_check(commutator, 2)
         assert not kernel_check(((1, 1),), 2)
+        assert kernel_check(((99, 1),), 2)  # above the level, at any truncation
 
     def test_seeded_words_agree(self):
         rng = Random(4096)

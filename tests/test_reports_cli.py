@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liftlab import amalgam, cli, lifting
+from liftlab import amalgam, cli, experiments, lifting
 from liftlab.cli import build_parser
 from liftlab.experiments import (
     KNOB_TYPES,
@@ -313,6 +313,21 @@ class TestCli:
             degrees[str(d)]["simultaneously_compatible"] == 0 for d in range(2, 13)
         )
         assert degrees["9"]["mode"] == "full-cycle-complete"
+        assert degrees["9"]["constrained_classes"] == 40362
+
+    def test_covers_full_cycle_census_below_the_exhaustive_bound(self, monkeypatch):
+        monkeypatch.setattr(experiments, "EXHAUSTIVE_MAX_DEGREE", 1)
+        verdict, payload = experiments.run_covers_obstruction(4)
+        assert verdict == "pass"
+        assert {
+            d: (entry["mode"], entry["constrained_classes"],
+                entry["simultaneously_compatible"])
+            for d, entry in payload["degrees"].items() if d != "1"
+        } == {
+            "2": ("full-cycle-complete", 2, 0),
+            "3": ("full-cycle-complete", 4, 0),
+            "4": ("full-cycle-complete", 10, 0),
+        }
 
     def test_bound_guards(self):
         assert run_cli(

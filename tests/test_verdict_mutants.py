@@ -15,12 +15,12 @@ modulus conjuncts read ``delta_level``, which ``equicontinuity_modulus``
 sets to the level or raises, so only a mutant of its table flips them. The
 amalgam-rigidity mutants skew the doubling that
 ``profinite.rigidity_witness`` applies on one side of the glue each. In
-covers-obstruction the full-cycle conjunct
-("no full-cycle class is simultaneously compatible") has no row: the
-runner enumerates exhaustively up to ``min(max_degree, 8)``, so that branch
-is reached only at degree 9 or more. One run to degree 9 takes about 1.8 s
-on a 2-core host, 1.2 s of it in the exhaustive degrees 2..8, so a row and
-its unmutated run would spend most of the table's 5 s budget. amalgam-deck
+covers-obstruction the runner enumerates exhaustively up to
+``experiments.EXHAUSTIVE_MAX_DEGREE`` (8) and takes the full-cycle census
+above it, first reached at degree 9. The full-cycle conjunct ("no
+full-cycle class is simultaneously compatible") gets its own test below:
+with the bound lowered to 1, ``--max-degree 4`` runs the census at degrees
+2, 3 and 4 in milliseconds, unmutated and mutated. amalgam-deck
 runs at an even precision, 4, where the search finds only the identity and
 the centralizer cross-check runs. There the cross-check equals the
 survivors' binary offsets only if exactly one pair survives with offset 0,
@@ -44,7 +44,9 @@ from fractions import Fraction
 
 import pytest
 
-from liftlab import amalgam, cli, covers, hawaiian, lifting, profinite, symdyn
+from liftlab import (
+    amalgam, cli, covers, experiments, hawaiian, lifting, profinite, symdyn,
+)
 
 ARGV = {
     "mt-generate": ["--level", "4"],
@@ -261,6 +263,21 @@ def test_mutant_fails_the_verdict(monkeypatch, capsys, conjunct):
     monkeypatch.setattr(module, name, mutant(getattr(module, name)))
     code, report = run_cli(capsys, experiment)
     assert (code, report["verdict"]) == (1, verdict)
+
+
+@pytest.mark.parametrize("mutated", [False, True])
+def test_full_cycle_conjunct_can_fail(monkeypatch, capsys, mutated):
+    """No full-cycle class is simultaneously compatible, or the run fails.
+
+    With the exhaustive bound at 1, degrees 2..4 all take the full-cycle
+    census (``test_reports_cli`` checks their modes and counts).
+    """
+    monkeypatch.setattr(experiments, "EXHAUSTIVE_MAX_DEGREE", 1)
+    if mutated:
+        monkeypatch.setattr(
+            covers, "cyclic_quotient_compatible", lambda rep, petal, base: True)
+    code, report = run_cli(capsys, "covers-obstruction")
+    assert (code, report["verdict"]) == ((1, "fail") if mutated else (0, "pass"))
 
 
 @pytest.mark.parametrize("model", BROKEN_MODELS)
