@@ -47,6 +47,9 @@ class AmalgamModel:
 
 def b_step(digits: str) -> str:
     """Glued ternary +1: decode, add one, re-encode every ternary digit decoded."""
+    bad = digits.strip("01")  # starts at the first non-binary character
+    if bad:
+        raise ValueError(f"digit {bad[0]!r} out of range for base 2")
     decoded = glue_forward(GLUE, digits)
     m3 = len(decoded.digits)
     if m3 == 0:

@@ -37,13 +37,6 @@ class CoveringPermutationRep:
     perm_a: tuple[int, ...]
     perm_b: tuple[int, ...]
 
-    def perm(self, petal: str) -> tuple[int, ...]:
-        if petal == "a":
-            return self.perm_a
-        if petal == "b":
-            return self.perm_b
-        raise ValueError(f"unknown petal {petal!r}")
-
     def as_system(self) -> MonodromySystem:
         return MonodromySystem(
             range(self.degree),
@@ -80,9 +73,12 @@ def cyclic_quotient_compatible(
     Necessary condition: the petal's permutation has a cycle of length equal
     to the full degree, and that degree is a power of ``base``.
     """
+    perms = {"a": rep.perm_a, "b": rep.perm_b}
+    if petal not in perms:
+        raise ValueError(f"unknown petal {petal!r}")
     if not is_power(rep.degree, base):
         return False
-    return rep.degree in cycle_lengths(dict(enumerate(rep.perm(petal))))
+    return rep.degree in cycle_lengths(dict(enumerate(perms[petal])))
 
 
 # ---------------------------------------------------------------------------

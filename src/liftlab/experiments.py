@@ -276,24 +276,6 @@ def run_covers_obstruction(max_degree: int):
     return ("pass" if clean and admissible == [1] else "fail"), payload
 
 
-def _deck_commutes_with_flips(n: int, deck, fibre) -> bool:
-    """Every deck translation commutes with every circle's flip at level n.
-
-    Stops at the first pair that does not commute. ``flip`` and
-    ``apply_deck`` are read from ``hawaiian`` when this function is called,
-    so wrappers installed on that module see every call.
-    """
-    flip, apply_deck = hawaiian.flip, hawaiian.apply_deck
-    circles = range(1, n + 1)
-    for delta in deck:
-        for eps in fibre:
-            for j in circles:
-                left = apply_deck(delta, flip(n, eps, j))
-                if left != flip(n, apply_deck(delta, eps), j):
-                    return False
-    return True
-
-
 def run_hawaiian_suite(circles: int, level: int, words: int, seed: int):
     if level > circles:
         raise UsageError("--level cannot exceed --circles")
@@ -305,10 +287,7 @@ def run_hawaiian_suite(circles: int, level: int, words: int, seed: int):
         graph = hawaiian.HnGraph(n, circles)
         connected = hawaiian.is_connected(graph)
         fibre_size = len(graph.vertices())
-        if n <= 8:
-            targets = hawaiian.all_sign_vectors(n)
-        else:
-            targets = [hawaiian.random_sign_vector(rng, n) for _ in range(64)]
+        targets = hawaiian.all_sign_vectors(n)
         source = hawaiian.ALL_PLUS
         surjective = all(
             hawaiian.lift_word_hn(
@@ -321,7 +300,7 @@ def run_hawaiian_suite(circles: int, level: int, words: int, seed: int):
         deck_ok = len(deck) == 2**n
         if n <= 8:
             fibre = hawaiian.hn_level(n, n).fibre
-            deck_ok = deck_ok and _deck_commutes_with_flips(n, deck, fibre)
+            deck_ok = deck_ok and hawaiian.deck_commutes_with_flips(n, deck, fibre)
         row = {
             "level": n,
             "connected": connected,

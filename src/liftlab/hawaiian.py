@@ -48,7 +48,9 @@ def random_sign_vector(rng, level: int) -> SignVector:
 
 
 def parity_boundary(word: LoopWord, level: int) -> SignVector:
-    """Per-circle signed letter count mod 2; circles above the level add 0."""
+    """Per-circle signed letter count mod 2; circles above the level add 0.
+
+    Exponents are not read: every letter must be +-1, as in a ``LoopWord``."""
     parity = 0
     for index, _exp in word:
         if index <= level:
@@ -191,6 +193,18 @@ def hn_tower(circles: int) -> TowerModel:
 
 def apply_deck(delta: SignVector, eps: SignVector) -> SignVector:
     return delta ^ eps
+
+
+def deck_commutes_with_flips(level: int, deck, fibre) -> bool:
+    """Every deck translation commutes with every circle's flip at the level."""
+    circles = range(1, level + 1)
+    for delta in deck:
+        for eps in fibre:
+            for j in circles:
+                left = apply_deck(delta, flip(level, eps, j))
+                if left != flip(level, apply_deck(delta, eps), j):
+                    return False
+    return True
 
 
 def deck_group_hn(level: int) -> list[SignVector]:

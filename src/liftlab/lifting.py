@@ -118,9 +118,11 @@ def lift_word_flagged(sys: MonodromySystem, word: LoopWord, start):
         if exp == 1:
             crossed = crossed or (label, point) in sys.clamped
             point = sys.actions[label][point]
-        else:
+        elif exp == -1:
             point = sys.inverse[label][point]
             crossed = crossed or (label, point) in sys.clamped
+        else:
+            raise ValueError(f"letter exponents are 1 or -1, got {exp!r}")
     return point, crossed
 
 

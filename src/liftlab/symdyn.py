@@ -232,6 +232,8 @@ class OrbitPairWitness:
 
 def omega0_windows(radius: int, count: int) -> list[CentralWord]:
     """Windows of omega0 centred at 0, 1, ..., count-1."""
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
     source = omega0(radius + count)
     out = []
     for c in range(count):

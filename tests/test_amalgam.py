@@ -61,6 +61,12 @@ class TestSteps:
             p = min(len(digits), len(back))
             assert digits[:p] == back[:p]
 
+    @pytest.mark.parametrize("digits", ["01x1", "2", "0110 "])
+    def test_non_binary_digits_rejected(self, digits):
+        # the glue would decode the binary head and drop the rest
+        with pytest.raises(ValueError, match="out of range for base 2"):
+            b_step(digits)
+
     def test_precision_never_silently_lost(self):
         # pure b-words: ternary precision stays >= floor(m2/2) - j
         for start in ("0110010110", "1111111111", "0000000001"):

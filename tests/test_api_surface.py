@@ -23,6 +23,8 @@ TEST_ORACLES = {
     "inverse_word": "acceptance criterion 12 checks the cancellation law with it",
     "random_permutation_system": "acceptance criterion 12 draws its random "
     "systems from it",
+    "random_sign_vector": "acceptance criterion 11 draws its level-9..12 "
+    "targets and its kernel-word starts with it",
 }
 
 

@@ -167,6 +167,14 @@ class TestObstruction:
         assert not cyclic_quotient_compatible(four_cycle, "a", 3)
         assert not cyclic_quotient_compatible(four_cycle, "b", 2)
 
+    @pytest.mark.parametrize("degree", [3, 4])
+    def test_unknown_petal_rejected_before_the_degree_test(self, degree):
+        # degree 3 is no power of 2, so the petal must be read first
+        cycle = tuple(range(1, degree)) + (0,)
+        rep = CoveringPermutationRep(degree, cycle, cycle)
+        with pytest.raises(ValueError, match="unknown petal 'c'"):
+            cyclic_quotient_compatible(rep, "c", 2)
+
 
 class TestEnumeration:
     def test_degree_one(self):

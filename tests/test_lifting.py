@@ -96,6 +96,13 @@ class TestLifting:
             with pytest.raises(ValueError):
                 lift(sys, parse_loop_word("a"), 99)
 
+    @pytest.mark.parametrize("exp", [2, 0, -2])
+    def test_exponents_other_than_one_or_minus_one_rejected(self, exp):
+        sys = solenoid_level(2, 3)
+        for lift in (lift_word, lift_word_flagged):
+            with pytest.raises(ValueError, match=f"1 or -1, got {exp}"):
+                lift(sys, (("a", exp),), 0)
+
     def test_clamp_flag_reported(self):
         sys = spiral_system(3)
         end, crossed = lift_word_flagged(sys, parse_loop_word("a"), 3)

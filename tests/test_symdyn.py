@@ -152,6 +152,8 @@ class TestWindows:
     def test_negative_radius_is_rejected(self):
         with pytest.raises(ValueError, match="radius must be >= 0"):
             omega0(-1)
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            omega0_windows(-1, 2)
         with pytest.raises(WindowError, match="to radius -1"):
             truncate_window(omega0(2), -1)
 

@@ -31,7 +31,8 @@ hawaiian-suite runs to level 5: up to level 4 ``deck_group_hn`` checks
 appears at level 5 can break the flip-commute loop alone. Its fibre-size and
 deck-order rows mutate the functions that return the closed forms
 ``range(2**n)`` and, above level 4, the unsearched deck group: unmutated,
-both conjuncts hold by construction.
+both conjuncts hold by construction. Its surjectivity conjunct is checked on
+every target of every level; a test below hides one level-9 target of 512.
 
 A second table breaks a model so that two computations that must agree
 on it do not; the run must still end as ``fail`` with exit 1 and a report
@@ -278,6 +279,21 @@ def test_full_cycle_conjunct_can_fail(monkeypatch, capsys, mutated):
             covers, "cyclic_quotient_compatible", lambda rep, petal, base: True)
     code, report = run_cli(capsys, "covers-obstruction")
     assert (code, report["verdict"]) == ((1, "fail") if mutated else (0, "pass"))
+
+
+def test_every_surjectivity_target_is_checked(monkeypatch):
+    """One unreachable target among the 512 of level 9 fails the run."""
+    real = hawaiian.connect_fibre_points
+    monkeypatch.setattr(
+        hawaiian, "connect_fibre_points",
+        lambda level, source, target: (
+            () if (level, target) == (9, 511) else real(level, source, target)))
+    verdict, payload = experiments.run_hawaiian_suite(
+        circles=9, level=9, words=1, seed=1)
+    row = payload["levels"][8]
+    assert verdict == "fail"
+    assert (row["level"], row["boundary_surjective"], row["surjectivity_targets"]) == (
+        9, False, 512)
 
 
 @pytest.mark.parametrize("model", BROKEN_MODELS)
