@@ -20,7 +20,8 @@ that agreement depth is preserved by one step, hence by every iterate.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+import operator
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from math import lcm
 from random import Random
@@ -113,6 +114,15 @@ class CentralWord:
         object.__setattr__(self, "radius", len(self.symbols) // 2)
 
 
+def _subwindow(x: CentralWord, centre: int, radius: int) -> CentralWord:
+    """The ``radius`` window of x at ``centre`` (within x); as a slice of x it is checked."""
+    lo = x.radius + centre - radius
+    window = object.__new__(CentralWord)
+    object.__setattr__(window, "symbols", x.symbols[lo : lo + 2 * radius])
+    object.__setattr__(window, "radius", radius)
+    return window
+
+
 def omega0(radius: int) -> CentralWord:
     """Two-sided base point: Thue-Morse on i >= 0, its reversal on i < 0."""
     if radius < 0:
@@ -127,16 +137,13 @@ def shift(x: CentralWord, t: int) -> CentralWord:
         raise WindowError(
             f"shift by {t} exceeds window of radius {x.radius}"
         )
-    m = x.radius - abs(t)
-    lo = (t - m) + x.radius
-    return CentralWord(x.symbols[lo : lo + 2 * m])
+    return _subwindow(x, t, x.radius - abs(t))
 
 
 def truncate_window(x: CentralWord, radius: int) -> CentralWord:
     if not 0 <= radius <= x.radius:
         raise WindowError(f"cannot cut a window of radius {x.radius} to radius {radius}")
-    lo = x.radius - radius
-    return CentralWord(x.symbols[lo : lo + 2 * radius])
+    return _subwindow(x, 0, radius)
 
 
 def word_metric(x: CentralWord, y: CentralWord) -> int:
@@ -192,16 +199,16 @@ def max_recurrence_gap(word: str, length: int) -> tuple[int | None, str]:
     """
     if length < 1 or length > len(word):
         raise ValueError(f"factor length {length} outside [1, {len(word)}]")
-    positions: dict[str, list[int]] = {}
+    positions: defaultdict[str, list[int]] = defaultdict(list)
     for i in range(len(word) - length + 1):
-        positions.setdefault(word[i : i + length], []).append(i)
+        positions[word[i : i + length]].append(i)
     worst = 0
     witness = ""
     for factor in sorted(positions):
         starts = positions[factor]
         if len(starts) < 2:
             return None, factor
-        gap = max(b - a for a, b in zip(starts, starts[1:]))
+        gap = max(map(operator.sub, starts[1:], starts))
         if gap > worst:
             worst, witness = gap, factor
     return worst, witness
@@ -234,12 +241,10 @@ def omega0_windows(radius: int, count: int) -> list[CentralWord]:
     """Windows of omega0 centred at 0, 1, ..., count-1."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    if count < 0:
+        raise ValueError(f"window count must be >= 0, got {count}")
     source = omega0(radius + count)
-    out = []
-    for c in range(count):
-        lo = c - radius + source.radius
-        out.append(CentralWord(source.symbols[lo : lo + 2 * radius]))
-    return out
+    return [_subwindow(source, c, radius) for c in range(count)]
 
 
 def _signed_shifts(horizon: int) -> list[int]:

@@ -28,6 +28,7 @@ from liftlab.experiments import (
 )
 from liftlab.lifting import solenoid_level, system_to_json
 from liftlab.reports import VERDICTS, Report, comparison_region
+from test_report_digests import DIGESTS
 
 EXPERIMENTS = tuple(SPECS)
 RANDOMIZED_EXPERIMENTS = frozenset(name for name, spec in SPECS.items() if spec.seeded)
@@ -277,6 +278,61 @@ class TestReportShape:
             ExperimentConfig(experiment="amalgam-rigidity", seed=5, words=2, depth=5)
         )
         assert report.config["seed"] == 5
+
+
+EDGE_PAYLOADS = [
+    {},
+    {"empty_list": [], "empty_dict": {}, "nested": [[], {}, [[]], {"x": {}}]},
+    {"tuples": (1, (2, "3"), ()), "grid": [[1, 2], [3, 4], []], "mixed": [1, [2], {"a": 3}]},
+    {"floats": [-0.0, 1e300, -1e-300, 0.1, float("inf"), float("-inf"), float("nan")]},
+    {"ints": [0, -1, 2**100, -(2**70)], "flags": [None, True, False], "one": None, "wall": 1.5},
+    {"escapes": ['a"b\\c', "\n\t\r\b\f", "\x00\x1f\x7f", "</script>"], "word": "0110" * 64},
+    {"unicode": ["é", "ω", "\U0001f600", "\ud800"], "éè": {"ω": [1]}},
+    {"int_keys": {10: "b", 2: "a"}, "nested_int_keys": {10: [1], 2: {"x": None}}},
+    {"scalar_keys": [{1.5: [0]}, {True: [1]}, {None: [2]}, {-3: [3]}]},
+]
+
+
+def _experiment(name: str, **config):
+    return lambda: run(ExperimentConfig(experiment=name, **config))
+
+
+def _edge(payload: dict):
+    return lambda: Report("edge", {"level": 3}, {"text": "edge"}, "pass", payload, 0.25)
+
+
+# Every report pinned in test_report_digests, solenoid-lift's 2^10-entry
+# lists, and hand-made payloads that reach every branch of the writer.
+SERIALIZED_REPORTS = {
+    **{name: _experiment(name, **config) for name, (config, _) in DIGESTS.items()},
+    "solenoid-lift-level-10": _experiment("solenoid-lift", level=10),
+    **{f"edge-{i}": _edge(payload) for i, payload in enumerate(EDGE_PAYLOADS)},
+}
+
+
+class TestSerialization:
+    """``to_json`` writes exactly what ``json.dumps(..., indent=2)`` writes.
+
+    The digest test hashes the parsed document, so it cannot see whitespace;
+    this compares the text itself, with and without json's C encoder.
+    """
+
+    @pytest.mark.parametrize("c_encoder", [True, False], ids=["c", "python"])
+    @pytest.mark.parametrize("build", SERIALIZED_REPORTS.values(), ids=SERIALIZED_REPORTS.keys())
+    def test_text_is_json_dumps_indent_2(self, monkeypatch, c_encoder, build):
+        if not c_encoder:
+            monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        report = build()
+        assert report.to_json() == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "payload", [{"x": object()}, {"x": [1, {2, 3}]}, {(1, 2): [1]}, {"x": {(1, 2): 1}}])
+    def test_unserializable_payload_is_a_type_error_as_in_json(self, payload):
+        report = Report("edge", {}, {}, "pass", payload, 0.0)
+        with pytest.raises(TypeError):
+            json.dumps(report.to_dict(), sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            report.to_json()
 
 
 class TestCli:

@@ -144,7 +144,7 @@ class TestWindows:
         assert type(raised.value) is ValueError  # the window's error, never a codec's
 
     def test_window_rejects_a_wrong_length(self):
-        for symbols in ("0", "011", "01100"):
+        for symbols in ("0", "011", "012", "01100"):
             with pytest.raises(ValueError, match="even number of symbols"):
                 CentralWord(symbols)
         assert [CentralWord(s).radius for s in ("", "01", "0110")] == [0, 1, 2]
@@ -156,6 +156,38 @@ class TestWindows:
             omega0_windows(-1, 2)
         with pytest.raises(WindowError, match="to radius -1"):
             truncate_window(omega0(2), -1)
+
+    @pytest.mark.parametrize("count", [-1, -5])
+    def test_negative_window_count_is_rejected(self, count):
+        # -1 used to return [], and -5 to blame a radius the caller never passed
+        with pytest.raises(ValueError, match=f"window count must be >= 0, got {count}"):
+            omega0_windows(2, count)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(1, 24), st.data())
+    def test_sub_windows_are_checked_windows(self, radius, data):
+        """shift, truncate_window and omega0_windows skip the 0/1 re-check.
+
+        What they return must still be the window that the checking
+        constructor builds from the same slice: same symbols, radius, hash.
+        """
+        x = CentralWord(data.draw(st.text("01", min_size=2 * radius, max_size=2 * radius)))
+        t = data.draw(st.integers(1 - radius, radius - 1))
+        m = radius - abs(t)
+        r = data.draw(st.integers(0, radius))
+        count = data.draw(st.integers(0, 8))
+        pairs = [
+            (shift(x, t), x.symbols[radius + t - m : radius + t + m]),
+            (truncate_window(x, r), x.symbols[radius - r : radius + r]),
+        ]
+        source = omega0(r + count).symbols
+        pairs += zip(omega0_windows(r, count), (source[c + count : c + count + 2 * r]
+                                                for c in range(count)))
+        for window, symbols in pairs:
+            checked = CentralWord(symbols)
+            assert window == checked and hash(window) == hash(checked)
+            assert vars(window) == vars(checked)  # symbols and radius, nothing else
+        assert len(pairs) == 2 + count
 
     def test_metric_examples(self):
         # exponents v of 2^-v; full agreement certifies only d(x, x) <= 2^-8
