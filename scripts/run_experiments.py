@@ -6,10 +6,10 @@ Usage: python scripts/run_experiments.py [--out-dir out] [--seed 20260808]
 Seeded experiments all use the one seed given here; reports land in the
 output directory as <experiment>.json and a one-line verdict summary is
 printed per experiment. Once every report is written, summary.json in the
-same directory maps each experiment to its verdict, exit code, wall time
-and report file name. Exit status is that of ``liftlab`` (0, 1, or 2 with
-one error line); every config and the output directory are checked first,
-and a run that exits 2 writes no summary.
+same directory maps each experiment to its verdict, failed checks, exit
+code, wall time and report file name. Exit status is that of ``liftlab``
+(0, 1, or 2 with one error line); every config and the output directory are
+checked first, and a run that exits 2 writes no summary.
 """
 
 import json
@@ -42,6 +42,7 @@ def main(argv: list[str] | None = None) -> int:
             path.write_text(report.to_json(), encoding="utf-8")
             summary[name] = {
                 "verdict": report.verdict,
+                "failed_checks": report.failed_checks,
                 "exit_code": report.exit_status,
                 "wall_time_s": round(report.wall_time_s, 6),
                 "report": path.name,

@@ -1,8 +1,8 @@
 """Command line driver: configure an experiment, run it, emit one JSON report.
 
-Exit status: 0 for pass or witness-found, 1 for fail or
-no-witness-at-horizon, 2 for usage errors, each reported in one line on
-stderr. A JSON config file may supply any option; command line flags
+Exit status: 1 if a check failed (fail or no-witness-at-horizon), else 0
+(pass or witness-found), and 2 for usage errors, each reported in one line
+on stderr. A JSON config file may supply any option; command line flags
 override it.
 """
 

@@ -6,12 +6,13 @@ Config validation, the command line flags, ``--help`` and the config echoed
 into each report all read it. ``ExperimentConfig`` checks a config's keys,
 types, seed and bounds and applies its defaults when it is built, before any
 work starts. A runner receives the echoed knob values (and the seed, if it
-draws samples), computes a deterministic payload, and returns it with a
-verdict from the closed vocabulary. Randomized runners derive every sample
-from the seed; nothing reads ambient randomness or the clock (wall time is
-measured by the orchestrator, outside the deterministic region). A model
-that a runner finds inconsistent (``lifting.InconsistentModel``) ends the run
-as ``fail``, with a payload naming the inconsistency.
+draws samples), computes a deterministic payload, and returns it with its
+named checks; ``reports.verdict`` reads the verdict off those that failed.
+Randomized runners derive every sample from the seed; nothing reads ambient
+randomness or the clock (wall time is measured by the orchestrator, outside
+the deterministic region). A model that a runner finds inconsistent
+(``lifting.InconsistentModel``) fails the check ``model_consistent``, with a
+payload naming the inconsistency.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable
 
 from . import amalgam, covers, hawaiian, lifting, symdyn
 from .profinite import GluePrecisionError, TruncatedPadic, rigidity_witness
-from .reports import Report
+from .reports import Report, verdict
 
 
 class UsageError(ValueError):
@@ -50,15 +51,8 @@ def run_mt_generate(level: int):
     word = symdyn.mt_substitution(level)
     doubling = symdyn.mt_doubling(level)
     parity = symdyn.popcount_parity_prefix(len(word))
-    ok = word == doubling == parity
-    payload = {
-        "n": level,
-        "length": len(word),
-        "word": word,
-        "doubling_agrees": word == doubling,
-        "popcount_agrees": word == parity,
-    }
-    return ("pass" if ok else "fail"), payload
+    checks = {"doubling_agrees": word == doubling, "popcount_agrees": word == parity}
+    return checks, {"n": level, "length": len(word), "word": word, **checks}
 
 
 def run_mt_dynamics(level: int, depth: int, horizon: int, words: int):
@@ -82,13 +76,13 @@ def run_mt_dynamics(level: int, depth: int, horizon: int, words: int):
         "proximal": None if proximal is None else _witness_json(proximal),
         "separation": None if separation is None else _witness_json(separation),
     }
-    if period is not None or gap is None:
-        verdict = "fail"
-    elif proximal is None or separation is None:
-        verdict = "no-witness-at-horizon"
-    else:
-        verdict = "witness-found"
-    return verdict, payload
+    checks = {
+        "aperiodic": period is None,
+        "factors_recur": gap is not None,
+        "proximal_witness": proximal is not None,
+        "separation_witness": separation is not None,
+    }
+    return checks, payload
 
 
 def run_tower_equicontinuity(level: int, words: int, seed: int):
@@ -125,17 +119,18 @@ def run_tower_equicontinuity(level: int, words: int, seed: int):
         except ValueError as err:
             rejected.append({"defect": label, "rejected": True, "reason": str(err)})
 
-    ok = (
-        all(row["delta_level"] == row["level"] for row in cyclic_table)
-        and all(entry["identity_modulus"] for entry in random_tables)
-        and all(entry["rejected"] for entry in rejected)
-    )
+    checks = {
+        "cyclic_identity_modulus": all(
+            row["delta_level"] == row["level"] for row in cyclic_table),
+        "random_identity_moduli": all(entry["identity_modulus"] for entry in random_tables),
+        "defects_rejected": all(entry["rejected"] for entry in rejected),
+    }
     payload = {
         "cyclic_tower": {"base": 2, "levels": level, "modulus_table": cyclic_table},
         "random_towers": random_tables,
         "rejected_examples": rejected,
     }
-    return ("pass" if ok else "fail"), payload
+    return checks, payload
 
 
 def _find_fibre_point(sys: lifting.MonodromySystem, text: str):
@@ -163,12 +158,12 @@ def run_solenoid_lift(level: int, word: str, start: str):
     }
     # the loop acts by +1 on Z/2^level, transitively
     exponent_sum = sum(exp for _, exp in letters)
-    ok = (
-        endpoint == (start_point + exponent_sum) % 2**level
-        and [len(orbit) for orbit in orbits] == [2**level]
-        and not crossed
-    )
-    return ("pass" if ok else "fail"), payload
+    checks = {
+        "endpoint_agrees": endpoint == (start_point + exponent_sum) % 2**level,
+        "transitive": [len(orbit) for orbit in orbits] == [2**level],
+        "no_truncation_crossed": not crossed,
+    }
+    return checks, payload
 
 
 def run_amalgam_rigidity(precision: int, words: int, depth: int, seed: int):
@@ -200,21 +195,16 @@ def run_amalgam_rigidity(precision: int, words: int, depth: int, seed: int):
                 "diverges": report.diverges,
             }
         )
-    payload = {
-        "binary_precision": precision,
-        "iterations": depth,
-        "samples": rows,
-        "all_diverge": all(row["diverges"] for row in rows),
-    }
-    return ("pass" if payload["all_diverge"] else "fail"), payload
+    checks = {"all_diverge": all(row["diverges"] for row in rows)}
+    return checks, {"binary_precision": precision, "iterations": depth,
+                    "samples": rows, **checks}
 
 
 def run_amalgam_deck(precision: int):
     model = amalgam.AmalgamModel(precision)
     survivors = amalgam.translation_deck_search(model)
-    identity_only = len(survivors) == 1 and survivors[0].binary_offset == 0 and (
-        survivors[0].ternary_offset == 0
-    )
+    checks = {"identity_only": len(survivors) == 1 and survivors[0].binary_offset == 0
+              and survivors[0].ternary_offset == 0}
     payload = {
         "binary_precision": precision,
         "survivors": [
@@ -225,14 +215,14 @@ def run_amalgam_deck(precision: int):
             }
             for pair in survivors
         ],
-        "identity_only": identity_only,
+        **checks,
     }
-    ok = identity_only
     if precision <= amalgam.CENTRALIZER_MAX_PRECISION:
         cross_check = amalgam.centralizer_deck_search(model)
         payload["centralizer_cross_check"] = cross_check
-        ok = ok and cross_check == sorted(pair.binary_offset for pair in survivors)
-    return ("pass" if ok else "fail"), payload
+        checks["cross_check_agrees"] = cross_check == sorted(
+            pair.binary_offset for pair in survivors)
+    return checks, payload
 
 
 # degrees above this take the full-cycle census; read at call time
@@ -271,9 +261,12 @@ def run_covers_obstruction(max_degree: int):
             entry["simultaneously_compatible"] = simultaneous
         degrees[str(d)] = entry
     admissible = [int(d) for d, entry in degrees.items() if entry["admissible"]]
-    clean = not any(entry.get("simultaneously_compatible") for entry in degrees.values())
-    payload = {"admissible_degrees": admissible, "degrees": degrees}
-    return ("pass" if clean and admissible == [1] else "fail"), payload
+    checks = {
+        "only_degree_1_admissible": admissible == [1],
+        "none_simultaneously_compatible": not any(
+            entry.get("simultaneously_compatible") for entry in degrees.values()),
+    }
+    return checks, {"admissible_degrees": admissible, "degrees": degrees}
 
 
 def run_hawaiian_suite(circles: int, level: int, words: int, seed: int):
@@ -282,7 +275,6 @@ def run_hawaiian_suite(circles: int, level: int, words: int, seed: int):
     rng = Random(seed)
 
     per_level = []
-    ok = True
     for n in range(1, level + 1):
         graph = hawaiian.HnGraph(n, circles)
         connected = hawaiian.is_connected(graph)
@@ -310,7 +302,6 @@ def run_hawaiian_suite(circles: int, level: int, words: int, seed: int):
             "deck_order": len(deck),
             "deck_verified": deck_ok,
         }
-        ok = ok and connected and fibre_size == 2**n and surjective and deck_ok
         per_level.append(row)
 
     kernel_agreements = 0
@@ -340,25 +331,29 @@ def run_hawaiian_suite(circles: int, level: int, words: int, seed: int):
         hawaiian.HnGraph(min(3, level), circles), omit_circle=1
     )
 
-    ok = (
-        ok
-        and kernel_agreements == words
-        and not violations
-        and commute_ok
-        and disconnect_demo
-    )
+    flags = {
+        "tower_strict": not violations,
+        "lift_bond_commutes": commute_ok,
+        "dropping_a_circle_disconnects": disconnect_demo,
+    }
+    checks = {
+        "connected": all(row["connected"] for row in per_level),
+        "fibre_sizes": all(row["fibre_size"] == 2 ** row["level"] for row in per_level),
+        "boundary_surjective": all(row["boundary_surjective"] for row in per_level),
+        "deck_verified": all(row["deck_verified"] for row in per_level),
+        "kernel_words_agree": kernel_agreements == words,
+        **flags,
+    }
     payload = {
         "circles": circles,
         "levels": per_level,
         "kernel_words": {"sampled": words, "agreed": kernel_agreements},
-        "tower_strict": not violations,
-        "lift_bond_commutes": commute_ok,
-        "dropping_a_circle_disconnects": disconnect_demo,
+        **flags,
         "graph_level_2": hawaiian.hn_graph_to_json(
             hawaiian.HnGraph(min(2, level), circles)
         ),
     }
-    return ("pass" if ok else "fail"), payload
+    return checks, payload
 
 
 def run_spiral_orbits(horizon: int):
@@ -368,11 +363,11 @@ def run_spiral_orbits(horizon: int):
     closure = lifting.orbit_closure(sys, spiral_orbit)
     top_fixed = lifting.lift_word(sys, lifting.parse_loop_word("a"), "top") == "top"
 
-    expected = (
-        sorted(len(o) for o in orbits) == [1, 1, 2 * horizon + 1]
-        and set(closure) == set(spiral_orbit) | {"bot", "top"}
-        and top_fixed
-    )
+    checks = {
+        "orbit_sizes": sorted(len(o) for o in orbits) == [1, 1, 2 * horizon + 1],
+        "closure_adds_both_boundaries": set(closure) == set(spiral_orbit) | {"bot", "top"},
+        "boundary_fixed": top_fixed,
+    }
     payload = {
         "truncation": horizon,
         "orbit_sizes": [len(o) for o in orbits],
@@ -384,7 +379,7 @@ def run_spiral_orbits(horizon: int):
     }
     if horizon <= 16:
         payload["system"] = lifting.system_to_json(sys)
-    return ("pass" if expected else "fail"), payload
+    return checks, payload
 
 
 def run_rotation_density(horizon: int):
@@ -394,10 +389,11 @@ def run_rotation_density(horizon: int):
     control_gaps = {
         str(n): lifting.rotation_orbit_gaps(Fraction(1, 3), n) for n in checkpoints
     }
-    decreasing = (
-        gaps[str(checkpoints[0])] > gaps[str(checkpoints[1])] > gaps[str(checkpoints[2])]
-    )
-    control_constant = len(set(control_gaps.values())) == 1
+    first, middle, last = gaps.values()
+    checks = {
+        "strictly_decreasing": first > middle > last,
+        "control_constant": len(set(control_gaps.values())) == 1,
+    }
     payload = {
         "alpha": str(alpha),
         "orbit_sizes": checkpoints,
@@ -405,11 +401,9 @@ def run_rotation_density(horizon: int):
         "max_gaps_float": {k: float(v) for k, v in gaps.items()},
         "control_alpha": "1/3",
         "control_gaps": {k: str(v) for k, v in control_gaps.items()},
-        "strictly_decreasing": decreasing,
-        "control_constant": control_constant,
+        **checks,
     }
-    ok = decreasing and control_constant
-    return ("pass" if ok else "fail"), payload
+    return checks, payload
 
 
 # ---------------------------------------------------------------------------
@@ -435,13 +429,14 @@ class Knob:
 
 @dataclass(frozen=True)
 class Spec:
-    """One experiment: its runner, its claim, its knobs, and whether it draws samples."""
+    """One experiment: its runner, claim and knobs, whether it samples, its witness checks."""
 
-    runner: Callable[..., tuple[str, dict]]
+    runner: Callable[..., tuple[dict[str, bool], dict]]
     claim_id: str
     statement: str
     knobs: dict[str, Knob]
     seeded: bool = False
+    witnesses: tuple[str, ...] = ()
 
     @property
     def claim(self) -> dict[str, str]:
@@ -480,6 +475,7 @@ SPECS: dict[str, Spec] = {
             "words": Knob(int, 192, high=447, why="both witness scans compare "
                           "every pair of windows, and C(447, 2) = 99,681"),
         },
+        witnesses=("proximal_witness", "separation_witness"),
     ),
     "tower-equicontinuity": Spec(
         run_tower_equicontinuity,
@@ -656,8 +652,10 @@ def run(config: ExperimentConfig) -> Report:
     args = {key: config.echoed[key] for key in keys}
     started = perf_counter()
     try:
-        verdict, payload = spec.runner(**args)
+        checks, payload = spec.runner(**args)
     except lifting.InconsistentModel as err:
-        verdict, payload = "fail", {"inconsistent_model": str(err)}
+        checks, payload = {"model_consistent": False}, {"inconsistent_model": str(err)}
     elapsed = perf_counter() - started
-    return Report(config.experiment, config.echoed, spec.claim, verdict, payload, elapsed)
+    failed = [name for name, ok in checks.items() if not ok]
+    return Report(config.experiment, config.echoed, spec.claim,
+                  verdict(failed, spec.witnesses), failed, payload, elapsed)

@@ -20,7 +20,19 @@ from dataclasses import dataclass
 SCHEMA = "liftlab-report/1"
 
 VERDICTS = ("pass", "fail", "witness-found", "no-witness-at-horizon")
-PASSING_VERDICTS = ("pass", "witness-found")  # exit status 0; the rest exit 1
+
+
+def verdict(failed: list[str], witnesses: tuple[str, ...]) -> str:
+    """The verdict of a run whose checks named in ``failed`` did not hold.
+
+    A run that declares witness checks found its witnesses if nothing failed,
+    and found none at its horizon if only witness checks failed.
+    """
+    if not witnesses:
+        return "fail" if failed else "pass"
+    if not failed:
+        return "witness-found"
+    return "no-witness-at-horizon" if set(failed) <= set(witnesses) else "fail"
 
 
 @dataclass
@@ -29,6 +41,7 @@ class Report:
     config: dict
     claim: dict
     verdict: str
+    failed_checks: list[str]  # in the order the runner declares its checks
     payload: dict
     wall_time_s: float
 
@@ -39,7 +52,7 @@ class Report:
     @property
     def exit_status(self) -> int:
         """The exit status of the run, read by ``liftlab`` and the battery."""
-        return 0 if self.verdict in PASSING_VERDICTS else 1
+        return 1 if self.failed_checks else 0
 
     def to_dict(self) -> dict:
         return {
@@ -48,6 +61,7 @@ class Report:
             "claim": self.claim,
             "config": self.config,
             "verdict": self.verdict,
+            "failed_checks": self.failed_checks,
             "payload": self.payload,
             "wall_time_s": round(self.wall_time_s, 6),
         }

@@ -20,34 +20,34 @@ from liftlab.reports import comparison_region
 DIGESTS = {
     "mt-generate": (
         {"level": 10},
-        "450ab69ed806c6cdc1e4d0d30f4f589677c7765d6de925275c0443ef1d5ddf7a"),
+        "26d42c9a25ca6acfd403833dd346463cb690d9680d54636fdcb96411557a0e4c"),
     "mt-dynamics": (
         {"level": 14, "depth": 4, "words": 192},
-        "c635f30253a0f261cc5e8dc29a73eb2c17bddd966a416cb7bef3523ecff63e04"),
+        "0e80a950c9d4164b71c0a107b4b8993e0dc977368de279e550199eb5f1bb1d1b"),
     "tower-equicontinuity": (
         {"seed": 1, "level": 6, "words": 5},
-        "9b6bab980172ed71736db0bd30a6e7d40cd0758b1c2ae3fef41223ec05c09864"),
+        "2229288fdd2877d5377c304a0071a2aee122703bc9bb2c9fabdbc2758c45d321"),
     "solenoid-lift": (
         {"level": 3, "word": "a^7 a^-2", "start": "1"},
-        "a823e90f3282a22ddf03956b88745fb53e756c6b317c4cc461dc4d07c3ce9230"),
+        "7cfa1d098ba817041d17869cc8d306a63d182b1500732b1ea87ebb0c77921703"),
     "amalgam-rigidity": (
         {"seed": 1, "precision": 32, "words": 10, "depth": 10},
-        "60732451e43cc4c0e68acdf8ce3700c4bef1a20e172df7975618fa1854218102"),
+        "064ccecbf75eb5dde5a669f19957369c04c8738aac56b1bb6bd2517b4f9f00de"),
     "amalgam-deck": (
         {"precision": 6},
-        "58ce94e7f00835cc156e969d8137cd0aa505aba1fd57746ccb0e14fd4c059fd0"),
+        "dd49f5557815681df34e9a4c09fef5ceb3d6c2e9b890b3ccc97579e633ac3250"),
     "covers-obstruction": (
         {"max_degree": 6},
-        "589119568e48bb6b304eaf4d89b312b9419d4d5443fad8e853c42f92dd849a7d"),
+        "b53cb3508ca5b8897e1c7328a42877d47565ff5a7cba7c3348b8421ddcfb35d6"),
     "hawaiian-suite": (
         {"seed": 1, "circles": 8, "level": 6, "words": 200},
-        "953c3bdf1acfb8254ee65241278fc1569a1030a927a554b05122a41a986dbdb5"),
+        "f64c9ab69acce27672da2df5802e9cf7ab0d345538da51db4e8c816afce52e66"),
     "spiral-orbits": (
         {"horizon": 2000},
-        "e265c79837290a34a7920756542f862df742565a5f4284d9b4319ec7499f830a"),
+        "616f3286fd8674d2e188395b9b735bff428e7f1e323ca8e33239af69fcc75147"),
     "rotation-density": (
         {"horizon": 500},
-        "6392f5e9d68f29fb41a8bfc3f87b6eab63d631c3e86b86a1aaa18051f78487c0"),
+        "5d1931deeb1de863ee05a18f9b0e6bf2d211ce047cd837844cceaf0a769f1b4f"),
 }
 
 

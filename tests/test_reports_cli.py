@@ -27,7 +27,7 @@ from liftlab.experiments import (
     run,
 )
 from liftlab.lifting import solenoid_level, system_to_json
-from liftlab.reports import VERDICTS, Report, comparison_region
+from liftlab.reports import Report, comparison_region
 from test_report_digests import DIGESTS
 
 EXPERIMENTS = tuple(SPECS)
@@ -200,11 +200,11 @@ class TestResourceBounds:
 
 class TestHonestVerdicts:
     def test_amalgam_deck_cross_check_gates_verdict(self, monkeypatch):
-        assert run(ExperimentConfig(experiment="amalgam-deck", precision=2)).verdict == "pass"
+        assert run(ExperimentConfig(experiment="amalgam-deck", precision=2)).failed_checks == []
         monkeypatch.setattr(amalgam, "centralizer_deck_search", lambda model: [0, 2])
         report = run(ExperimentConfig(experiment="amalgam-deck", precision=2))
         assert report.payload["identity_only"]
-        assert report.verdict == "fail"
+        assert report.failed_checks == ["cross_check_agrees"]
 
     def test_amalgam_rigidity_redraws_the_uncertifiable_residue(self):
         # at odd precision m the normalized glue image of 2^(m-1) vanishes at
@@ -214,13 +214,13 @@ class TestHonestVerdicts:
             for seed in range(30):
                 report = run(ExperimentConfig(
                     experiment="amalgam-rigidity", seed=seed, precision=m, depth=2))
-                assert report.verdict == "pass"
+                assert report.failed_checks == []
                 assert all(row["a"] != top for row in report.payload["samples"])
 
     @pytest.mark.parametrize("fault", ["endpoint", "crossed", "orbits"])
     def test_solenoid_lift_verdict_from_claim(self, monkeypatch, fault):
         config = ExperimentConfig(experiment="solenoid-lift", level=3, word="a^5 a^-2")
-        assert run(config).verdict == "pass"
+        assert run(config).failed_checks == []
         lift, orbits = lifting.lift_word_flagged, lifting.orbit_partition
         if fault == "endpoint":
             monkeypatch.setattr(lifting, "lift_word_flagged",
@@ -232,7 +232,9 @@ class TestHonestVerdicts:
             monkeypatch.setattr(lifting, "orbit_partition",
                                 lambda sys: [part for orbit in orbits(sys)
                                              for part in (orbit[:4], orbit[4:])])
-        assert run(config).verdict == "fail"
+        assert run(config).failed_checks == [
+            {"endpoint": "endpoint_agrees", "crossed": "no_truncation_crossed",
+             "orbits": "transitive"}[fault]]
 
 
 class TestClaimsRegistry:
@@ -249,13 +251,13 @@ class TestClaimsRegistry:
 class TestReportShape:
     def test_verdict_vocabulary_closed(self):
         with pytest.raises(ValueError):
-            Report("mt-generate", {}, CLAIMS["mt-generate"], "maybe", {}, 0.0)
+            Report("mt-generate", {}, CLAIMS["mt-generate"], "maybe", [], {}, 0.0)
 
     def test_report_document(self):
         report = run(ExperimentConfig(experiment="mt-generate", level=3))
         doc = report.to_dict()
         assert doc["schema"] == "liftlab-report/1"
-        assert doc["verdict"] in VERDICTS
+        assert (doc["verdict"], doc["failed_checks"]) == ("pass", [])
         assert doc["payload"]["word"] == "01101001"
         assert doc["claim"] == CLAIMS["mt-generate"]
 
@@ -298,7 +300,7 @@ def _experiment(name: str, **config):
 
 
 def _edge(payload: dict):
-    return lambda: Report("edge", {"level": 3}, {"text": "edge"}, "pass", payload, 0.25)
+    return lambda: Report("edge", {"level": 3}, {"text": "edge"}, "pass", [], payload, 0.25)
 
 
 # Every report pinned in test_report_digests, solenoid-lift's 2^10-entry
@@ -328,7 +330,7 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "payload", [{"x": object()}, {"x": [1, {2, 3}]}, {(1, 2): [1]}, {"x": {(1, 2): 1}}])
     def test_unserializable_payload_is_a_type_error_as_in_json(self, payload):
-        report = Report("edge", {}, {}, "pass", payload, 0.0)
+        report = Report("edge", {}, {}, "pass", [], payload, 0.0)
         with pytest.raises(TypeError):
             json.dumps(report.to_dict(), sort_keys=True, indent=2)
         with pytest.raises(TypeError):
@@ -373,8 +375,9 @@ class TestCli:
 
     def test_covers_full_cycle_census_below_the_exhaustive_bound(self, monkeypatch):
         monkeypatch.setattr(experiments, "EXHAUSTIVE_MAX_DEGREE", 1)
-        verdict, payload = experiments.run_covers_obstruction(4)
-        assert verdict == "pass"
+        checks, payload = experiments.run_covers_obstruction(4)
+        assert checks == {
+            "only_degree_1_admissible": True, "none_simultaneously_compatible": True}
         assert {
             d: (entry["mode"], entry["constrained_classes"],
                 entry["simultaneously_compatible"])
@@ -632,21 +635,48 @@ argv_leads = st.one_of(
 )
 
 
+# the outcomes of a fake runner's checks: "c0" and, for an experiment that
+# declares witness checks, those, or else "c1"
+outcomes = st.tuples(st.booleans(), st.booleans(), st.booleans())
+
+
+def fake_checks(spec: experiments.Spec, outcome: tuple[bool, ...]) -> dict[str, bool]:
+    return dict(zip(("c0", *(spec.witnesses or ("c1",))), outcome))
+
+
+def expected_verdict(spec: experiments.Spec, checks: dict[str, bool]) -> str:
+    """The verdict rule, over fake checks of which only "c0" is never a witness check."""
+    if all(checks.values()):
+        return "witness-found" if spec.witnesses else "pass"
+    return "no-witness-at-horizon" if spec.witnesses and checks["c0"] else "fail"
+
+
+def fake_runners(mp: pytest.MonkeyPatch, checks: dict[str, dict[str, bool]]) -> None:
+    """Make each experiment's runner return its given checks and an empty payload."""
+    for name, spec in SPECS.items():
+        mp.setitem(SPECS, name, dataclasses.replace(
+            spec, runner=lambda checks=checks[name], **_: (checks, {})))
+
+
 class TestExitContract:
     @settings(max_examples=300, deadline=None)
     @given(
         lead=argv_leads,
         pieces=st.lists(argv_pieces, max_size=5),
         document=config_documents,
-        verdict=st.sampled_from(VERDICTS),
+        outcome=outcomes,
     )
-    def test_every_input_exits_0_1_or_2(self, lead, pieces, document, verdict):
-        """Exit 0 or 1 with a JSON report, or exit 2 with one stderr line."""
+    def test_every_input_exits_0_1_or_2(self, lead, pieces, document, outcome):
+        """Exit 0 or 1 with a JSON report, or exit 2 with one stderr line.
+
+        The verdict follows the rule, the exit status is 1 exactly when a check
+        failed, and only an experiment that declares witness checks reports
+        whether it found witnesses.
+        """
+        checks = {name: fake_checks(spec, outcome) for name, spec in SPECS.items()}
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.chdir(tmp)  # a config's "out" is relative
-            for name, spec in SPECS.items():
-                mp.setitem(SPECS, name, dataclasses.replace(
-                    spec, runner=lambda **_: (verdict, {})))
+            fake_runners(mp, checks)
             paths = {
                 "CONFIG": os.path.join(tmp, "config.json"),
                 "OUT": os.path.join(tmp, "report.json"),
@@ -667,8 +697,12 @@ class TestExitContract:
         else:
             assert err.getvalue() == ""
             report = json.loads(out.getvalue())
-            assert report["verdict"] == verdict
-            assert code == (0 if verdict in ("pass", "witness-found") else 1)
+            spec, ran = SPECS[report["experiment"]], checks[report["experiment"]]
+            assert report["verdict"] == expected_verdict(spec, ran)
+            assert report["failed_checks"] == [name for name, ok in ran.items() if not ok]
+            assert code == (1 if report["failed_checks"] else 0)
+            if not spec.witnesses:
+                assert report["verdict"] in ("pass", "fail")
 
 
 # ---------------------------------------------------------------------------
@@ -699,16 +733,16 @@ class TestBatteryExitContract:
     @settings(max_examples=100, deadline=None)
     @given(
         pieces=st.lists(battery_pieces, max_size=4),
-        verdicts=st.lists(st.sampled_from(VERDICTS), min_size=len(SPECS),
-                          max_size=len(SPECS)),
+        drawn=st.lists(outcomes, min_size=len(SPECS), max_size=len(SPECS)),
     )
-    def test_every_input_exits_0_1_or_2(self, pieces, verdicts):
+    def test_every_input_exits_0_1_or_2(self, pieces, drawn):
         """Exit 0 or 1 with a summary line per experiment, or exit 2 with one stderr line."""
+        checks = {name: fake_checks(spec, outcome)
+                  for (name, spec), outcome in zip(SPECS.items(), drawn)}
+        verdicts = [expected_verdict(SPECS[name], checks[name]) for name in SPECS]
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.chdir(tmp)  # the default --out-dir is relative
-            for (name, spec), verdict in zip(SPECS.items(), verdicts):
-                mp.setitem(SPECS, name, dataclasses.replace(
-                    spec, runner=lambda verdict=verdict, **_: (verdict, {})))
+            fake_runners(mp, checks)
             pathlib.Path("FILE").write_text("")
             argv = [token for piece in pieces for token in piece]
             out, err = io.StringIO(), io.StringIO()
@@ -725,29 +759,35 @@ class TestBatteryExitContract:
             assert err.getvalue() == ""
             summary = [line.split()[:2] for line in out.getvalue().splitlines()]
             assert summary == [list(pair) for pair in zip(SPECS, verdicts)]
-            passing = all(verdict in ("pass", "witness-found") for verdict in verdicts)
+            passing = all(all(ran.values()) for ran in checks.values())
             assert code == (0 if passing else 1)
             [document] = written
             assert [(name, entry["verdict"]) for name, entry in document.items()] == list(
                 zip(SPECS, verdicts))
             assert max(entry["exit_code"] for entry in document.values()) == code
 
-    @pytest.mark.parametrize("offset", range(len(VERDICTS)))
+    # every verdict of an experiment with witness checks, a failed witness
+    # check beside a failed one of another kind, and both verdicts of an
+    # experiment without witness checks
+    OUTCOMES = [(True, True, True), (False, True, True), (True, False, True),
+                (True, True, False), (False, False, True)]
+
+    @pytest.mark.parametrize("offset", range(len(OUTCOMES)))
     def test_summary_records_each_experiment(self, tmp_path, monkeypatch, offset):
-        """summary.json: verdict, exit code, wall time and report file per experiment."""
-        verdicts = {name: VERDICTS[(i + offset) % len(VERDICTS)]
-                    for i, name in enumerate(SPECS)}
-        for name, spec in SPECS.items():
-            monkeypatch.setitem(SPECS, name, dataclasses.replace(
-                spec, runner=lambda verdict=verdicts[name], **_: (verdict, {})))
+        """summary.json: verdict, failed checks, exit code, wall time and report file."""
+        checks = {name: fake_checks(spec, self.OUTCOMES[(i + offset) % len(self.OUTCOMES)])
+                  for i, (name, spec) in enumerate(SPECS.items())}
+        fake_runners(monkeypatch, checks)
         with contextlib.redirect_stdout(io.StringIO()):
             code = self.battery.main(["--out-dir", str(tmp_path)])
         summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
         assert list(summary) == list(SPECS)
         for name, entry in summary.items():
-            assert sorted(entry) == ["exit_code", "report", "verdict", "wall_time_s"]
-            passing = verdicts[name] in ("pass", "witness-found")
-            assert (entry["verdict"], entry["exit_code"]) == (verdicts[name], 0 if passing else 1)
+            assert sorted(entry) == [
+                "exit_code", "failed_checks", "report", "verdict", "wall_time_s"]
+            failed = [check for check, ok in checks[name].items() if not ok]
+            assert (entry["verdict"], entry["failed_checks"], entry["exit_code"]) == (
+                expected_verdict(SPECS[name], checks[name]), failed, 1 if failed else 0)
             assert entry["report"] == f"{name}.json"
             report = json.loads((tmp_path / entry["report"]).read_text(encoding="utf-8"))
             assert entry["wall_time_s"] == report["wall_time_s"] >= 0

@@ -1,42 +1,34 @@
-"""Every conjunct of a verdict can fail: one program mutant per conjunct.
+"""Every check of a verdict can fail: at least one program mutant per check.
 
 Each mutant replaces one function of the program (never the check in the
-runner) so that exactly one conjunct of the experiment's verdict no longer
-holds. Run through the command line, the experiment must then report
-``fail`` (or ``no-witness-at-horizon`` for a missing witness) and exit 1.
-A verdict that ignored the conjunct would still pass under its mutant.
+runner) so that the checks its row lists, and no others, no longer hold. Run
+through the command line, the experiment must then report the row's verdict,
+name exactly those checks in ``failed_checks`` and exit 1. Together the rows
+of an experiment fail every check its runner returns.
 
-Covered: all ten experiments (solenoid-lift, mt-generate, mt-dynamics,
-tower-equicontinuity, spiral-orbits, rotation-density, amalgam-rigidity,
-amalgam-deck, covers-obstruction and hawaiian-suite).
-In spiral-orbits the verdict has no ``len(orbits) == 3`` conjunct: the
-sorted orbit sizes [1, 1, 2h+1] already say so. In tower-equicontinuity both
-modulus conjuncts read ``delta_level``, which ``equicontinuity_modulus``
-sets to the level or raises, so only a mutant of its table flips them. The
-amalgam-rigidity mutants skew the doubling that
-``profinite.rigidity_witness`` applies on one side of the glue each. In
-covers-obstruction the runner enumerates exhaustively up to
-``experiments.EXHAUSTIVE_MAX_DEGREE`` (8) and takes the full-cycle census
-above it, first reached at degree 9. The full-cycle conjunct ("no
-full-cycle class is simultaneously compatible") gets its own test below:
-with the bound lowered to 1, ``--max-degree 4`` runs the census at degrees
-2, 3 and 4 in milliseconds, unmutated and mutated. amalgam-deck
-runs at an even precision, 4, where the search finds only the identity and
-the centralizer cross-check runs. There the cross-check equals the
-survivors' binary offsets only if exactly one pair survives with offset 0,
-so the "single survivor" mutant fails it too; the "identity" mutant keeps
-one survivor with binary offset 0 and fails ``identity_only`` alone.
-hawaiian-suite runs to level 5: up to level 4 ``deck_group_hn`` checks
-``apply_deck`` against the searched group, so only a translation that first
-appears at level 5 can break the flip-commute loop alone. Its fibre-size and
+In spiral-orbits there is no ``len(orbits) == 3`` check: the sorted orbit
+sizes [1, 1, 2h+1] already say so. In tower-equicontinuity both modulus
+checks read ``delta_level``, which ``equicontinuity_modulus`` sets to the
+level or raises, so only a mutant of its table flips them. The
+amalgam-rigidity mutants skew the doubling that ``profinite.rigidity_witness``
+applies on one side of the glue each. In covers-obstruction the runner
+enumerates exhaustively up to ``experiments.EXHAUSTIVE_MAX_DEGREE`` (8) and
+takes the full-cycle census above it, first reached at degree 9; a test
+below lowers the bound to 1, so that ``--max-degree 4`` runs the census at
+degrees 2, 3 and 4 in milliseconds, unmutated and mutated. amalgam-deck runs
+at an even precision, 4, where the search finds only the identity and the
+centralizer cross-check runs. hawaiian-suite runs to level 5: up to level 4
+``deck_group_hn`` checks ``apply_deck`` against the searched group, so only a
+translation that first appears at level 5 can break the flip-commute loop
+without ending the run as an inconsistent model. Its fibre-size and
 deck-order rows mutate the functions that return the closed forms
 ``range(2**n)`` and, above level 4, the unsearched deck group: unmutated,
-both conjuncts hold by construction. Its surjectivity conjunct is checked on
-every target of every level; a test below hides one level-9 target of 512.
+both checks hold by construction. Its surjectivity check covers every target
+of every level; a test below hides one level-9 target of 512.
 
 A second table breaks a model so that two computations that must agree
-on it do not; the run must still end as ``fail`` with exit 1 and a report
-naming the inconsistency.
+on it do not; the run must still end as ``fail`` with exit 1, the failed
+check ``model_consistent`` and a report naming the inconsistency.
 """
 
 import itertools
@@ -115,117 +107,201 @@ def _middle_point_moved(real):
     return mutant
 
 
-# conjunct -> (experiment, module, function, mutant built from the real
-# function, verdict the mutant must produce)
+# check -> {row: (experiment, module, function, mutant built from the real
+# function, verdict the mutant must produce, every check the run then fails,
+# in the order the runner declares them)}
 MUTANTS = {
-    "substitution agrees with doubling": (
-        "mt-generate", symdyn, "mt_substitution",
-        lambda real: lambda n: _flip_last(real(n)), "fail"),
-    "doubling agrees with popcount parity": (
-        "mt-generate", symdyn, "popcount_parity_prefix",
-        lambda real: lambda length: _flip_last(real(length)), "fail"),
-    "no period up to 128": (
-        "mt-dynamics", symdyn, "aperiodicity_check",
-        lambda real: lambda word, max_period: 1, "fail"),
-    "every length-8 factor recurs": (
-        "mt-dynamics", symdyn, "max_recurrence_gap",
-        lambda real: lambda word, length: real(word + "0" * length, length), "fail"),
-    "proximal witness found": (
-        "mt-dynamics", symdyn, "proximal_search",
-        lambda real: lambda *args: None, "no-witness-at-horizon"),
-    "separation witness found": (
-        "mt-dynamics", symdyn, "non_equicontinuity_witness",
-        lambda real: lambda *args: None, "no-witness-at-horizon"),
-    "cyclic tower has the identity modulus": (
-        "tower-equicontinuity", symdyn, "equicontinuity_modulus",
-        lambda real: _skewed_modulus(real, lambda call: call == 0), "fail"),
-    "random towers have the identity modulus": (
-        "tower-equicontinuity", symdyn, "equicontinuity_modulus",
-        lambda real: _skewed_modulus(real, lambda call: call > 0), "fail"),
-    "defective towers are rejected": (
-        "tower-equicontinuity", symdyn, "tower_strictness_check",
-        lambda real: lambda tower: (), "fail"),
-    "orbit sizes are 1, 1 and 2 * horizon + 1": (
-        "spiral-orbits", lifting, "orbit_partition", _middle_point_moved, "fail"),
-    "spiral orbit closes up on both boundaries": (
-        "spiral-orbits", lifting, "orbit_closure",
-        lambda real: lambda sys, orbit: [
-            p for p in real(sys, orbit) if p not in ("bot", "top")], "fail"),
-    "boundary circle is fixed": (
-        "spiral-orbits", lifting, "lift_word",
-        lambda real: lambda sys, word, start: sys.fibre[0], "fail"),
-    "irrational gaps strictly decrease": (
-        "rotation-density", lifting, "rotation_orbit_gaps",
-        lambda real: lambda alpha, count: Fraction(1, 3), "fail"),
-    "rational control gap is constant": (
-        "rotation-density", lifting, "rotation_orbit_gaps",
-        lambda real: lambda alpha, count: Fraction(1, count), "fail"),
-    "binary valuations march": (
-        "amalgam-rigidity", profinite, "padic_scale",
-        lambda real: lambda n, x: real(1 if x.base == 2 else n, x), "fail"),
-    "ternary distances stay constant": (
-        "amalgam-rigidity", profinite, "padic_scale",
-        lambda real: lambda n, x: real(n * n if x.base == 3 else n, x), "fail"),
-    "a single translation pair survives": (
-        "amalgam-deck", amalgam, "translation_deck_search", _extra_survivor, "fail"),
-    "the surviving pair is the identity": (
-        "amalgam-deck", amalgam, "translation_deck_search",
-        lambda real: lambda model: [
-            amalgam.TranslationPair(0, 1, pair.ternary_precision)
-            for pair in real(model)], "fail"),
-    "the centralizer cross-check agrees": (
-        "amalgam-deck", amalgam, "centralizer_deck_search",
-        lambda real: lambda model: real(model) + [1], "fail"),
-    "every level graph is connected": (
-        "hawaiian-suite", hawaiian, "is_connected",
-        lambda real: lambda graph, omit_circle=None: (
-            omit_circle is not None and real(graph, omit_circle)), "fail"),
-    "every level-n fibre has 2^n points": (
-        "hawaiian-suite", hawaiian.HnGraph, "vertices",
-        lambda real: lambda graph: range(2 ** graph.level + 1), "fail"),
-    "the boundary map is onto": (
-        "hawaiian-suite", hawaiian, "connect_fibre_points",
-        lambda real: lambda level, source, target: real(level, source, target)[1:],
-        "fail"),
-    "the deck group has order 2^n": (
-        "hawaiian-suite", hawaiian, "deck_group_hn",
-        lambda real: lambda level: real(level)[1:], "fail"),
-    "deck translations commute with the flips": (
-        "hawaiian-suite", hawaiian, "apply_deck",
-        lambda real: lambda delta, eps: (
-            real(delta, eps) ^ 1 if delta >= 2**4 and eps == 1 else real(delta, eps)),
-        "fail"),
-    "every kernel word lifts to a loop": (
-        "hawaiian-suite", hawaiian, "kernel_check",
-        lambda real: lambda word, level: False, "fail"),
-    "the tower is strict": (
-        "hawaiian-suite", lifting, "tower_strictness_check",
-        lambda real: lambda tower: ("bond 0: not onto the level-1 fibre",), "fail"),
-    "lifting commutes with the bonds": (
-        "hawaiian-suite", lifting, "lift_word",
-        lambda real: lambda sys, word, start: real(sys, word, start) ^ 1, "fail"),
-    "dropping a circle disconnects": (
-        "hawaiian-suite", hawaiian, "is_connected",
-        lambda real: lambda graph, omit_circle=None: (
-            omit_circle is not None or real(graph)), "fail"),
-    "the lift ends at start + exponent sum": (
-        "solenoid-lift", lifting, "lift_word_flagged",
-        lambda real: lambda sys, word, start: (
-            (real(sys, word, start)[0] + 1) % len(sys.fibre), False), "fail"),
-    "the loop acts transitively": (
-        "solenoid-lift", lifting, "orbit_partition",
-        lambda real: lambda sys: [part for orbit in real(sys)
-                                  for part in (orbit[:4], orbit[4:])], "fail"),
-    "no truncation artifact is crossed": (
-        "solenoid-lift", lifting, "lift_word_flagged",
-        lambda real: lambda sys, word, start: (real(sys, word, start)[0], True), "fail"),
-    "only degree 1 is admissible": (
-        "covers-obstruction", covers, "factorization_obstruction",
-        lambda real: lambda degree: real(degree) or degree == 2, "fail"),
-    "no exhaustive class is simultaneously compatible": (
-        "covers-obstruction", covers, "cyclic_quotient_compatible",
-        lambda real: lambda rep, petal, base: True, "fail"),
+    "doubling_agrees": {
+        "substitution agrees with doubling": (
+            "mt-generate", symdyn, "mt_doubling",
+            lambda real: lambda n: _flip_last(real(n)), "fail", ["doubling_agrees"]),
+    },
+    "popcount_agrees": {
+        "doubling agrees with popcount parity": (
+            "mt-generate", symdyn, "popcount_parity_prefix",
+            lambda real: lambda length: _flip_last(real(length)), "fail",
+            ["popcount_agrees"]),
+    },
+    "aperiodic": {
+        "no period up to 128": (
+            "mt-dynamics", symdyn, "aperiodicity_check",
+            lambda real: lambda word, max_period: 1, "fail", ["aperiodic"]),
+    },
+    "factors_recur": {
+        "every length-8 factor recurs": (
+            "mt-dynamics", symdyn, "max_recurrence_gap",
+            lambda real: lambda word, length: real(word + "0" * length, length), "fail",
+            ["factors_recur"]),
+    },
+    "proximal_witness": {
+        "proximal witness found": (
+            "mt-dynamics", symdyn, "proximal_search",
+            lambda real: lambda *args: None, "no-witness-at-horizon", ["proximal_witness"]),
+    },
+    "separation_witness": {
+        "separation witness found": (
+            "mt-dynamics", symdyn, "non_equicontinuity_witness",
+            lambda real: lambda *args: None, "no-witness-at-horizon",
+            ["separation_witness"]),
+    },
+    "cyclic_identity_modulus": {
+        "cyclic tower has the identity modulus": (
+            "tower-equicontinuity", symdyn, "equicontinuity_modulus",
+            lambda real: _skewed_modulus(real, lambda call: call == 0), "fail",
+            ["cyclic_identity_modulus"]),
+    },
+    "random_identity_moduli": {
+        "random towers have the identity modulus": (
+            "tower-equicontinuity", symdyn, "equicontinuity_modulus",
+            lambda real: _skewed_modulus(real, lambda call: call > 0), "fail",
+            ["random_identity_moduli"]),
+    },
+    "defects_rejected": {
+        "defective towers are rejected": (
+            "tower-equicontinuity", symdyn, "tower_strictness_check",
+            lambda real: lambda tower: (), "fail", ["defects_rejected"]),
+    },
+    "orbit_sizes": {
+        "orbit sizes are 1, 1 and 2 * horizon + 1": (
+            "spiral-orbits", lifting, "orbit_partition", _middle_point_moved, "fail",
+            ["orbit_sizes"]),
+    },
+    "closure_adds_both_boundaries": {
+        "spiral orbit closes up on both boundaries": (
+            "spiral-orbits", lifting, "orbit_closure",
+            lambda real: lambda sys, orbit: [
+                p for p in real(sys, orbit) if p not in ("bot", "top")], "fail",
+            ["closure_adds_both_boundaries"]),
+    },
+    "boundary_fixed": {
+        "boundary circle is fixed": (
+            "spiral-orbits", lifting, "lift_word",
+            lambda real: lambda sys, word, start: sys.fibre[0], "fail", ["boundary_fixed"]),
+    },
+    "strictly_decreasing": {
+        "irrational gaps strictly decrease": (
+            "rotation-density", lifting, "rotation_orbit_gaps",
+            lambda real: lambda alpha, count: Fraction(1, 3), "fail",
+            ["strictly_decreasing"]),
+    },
+    "control_constant": {
+        "rational control gap is constant": (
+            "rotation-density", lifting, "rotation_orbit_gaps",
+            lambda real: lambda alpha, count: Fraction(1, count), "fail",
+            ["control_constant"]),
+    },
+    "all_diverge": {
+        "binary valuations march": (
+            "amalgam-rigidity", profinite, "padic_scale",
+            lambda real: lambda n, x: real(1 if x.base == 2 else n, x), "fail",
+            ["all_diverge"]),
+        "ternary distances stay constant": (
+            "amalgam-rigidity", profinite, "padic_scale",
+            lambda real: lambda n, x: real(n * n if x.base == 3 else n, x), "fail",
+            ["all_diverge"]),
+    },
+    "identity_only": {
+        "a single translation pair survives": (
+            "amalgam-deck", amalgam, "translation_deck_search", _extra_survivor, "fail",
+            ["identity_only", "cross_check_agrees"]),
+        "the surviving pair is the identity": (
+            "amalgam-deck", amalgam, "translation_deck_search",
+            lambda real: lambda model: [
+                amalgam.TranslationPair(0, 1, pair.ternary_precision)
+                for pair in real(model)], "fail", ["identity_only"]),
+    },
+    "cross_check_agrees": {
+        "the centralizer cross-check agrees": (
+            "amalgam-deck", amalgam, "centralizer_deck_search",
+            lambda real: lambda model: real(model) + [1], "fail", ["cross_check_agrees"]),
+    },
+    "connected": {
+        "every level graph is connected": (
+            "hawaiian-suite", hawaiian, "is_connected",
+            lambda real: lambda graph, omit_circle=None: (
+                omit_circle is not None and real(graph, omit_circle)), "fail",
+            ["connected"]),
+    },
+    "fibre_sizes": {
+        "every level-n fibre has 2^n points": (
+            "hawaiian-suite", hawaiian.HnGraph, "vertices",
+            lambda real: lambda graph: range(2 ** graph.level + 1), "fail",
+            ["fibre_sizes"]),
+    },
+    "boundary_surjective": {
+        "the boundary map is onto": (
+            "hawaiian-suite", hawaiian, "connect_fibre_points",
+            lambda real: lambda level, source, target: real(level, source, target)[1:],
+            "fail", ["boundary_surjective"]),
+    },
+    "deck_verified": {
+        "the deck group has order 2^n": (
+            "hawaiian-suite", hawaiian, "deck_group_hn",
+            lambda real: lambda level: real(level)[1:], "fail", ["deck_verified"]),
+        "deck translations commute with the flips": (
+            "hawaiian-suite", hawaiian, "apply_deck",
+            lambda real: lambda delta, eps: (
+                real(delta, eps) ^ 1 if delta >= 2**4 and eps == 1 else real(delta, eps)),
+            "fail", ["deck_verified"]),
+    },
+    "kernel_words_agree": {
+        "every kernel word lifts to a loop": (
+            "hawaiian-suite", hawaiian, "kernel_check",
+            lambda real: lambda word, level: False, "fail", ["kernel_words_agree"]),
+    },
+    "tower_strict": {
+        "the tower is strict": (
+            "hawaiian-suite", lifting, "tower_strictness_check",
+            lambda real: lambda tower: ("bond 0: not onto the level-1 fibre",), "fail",
+            ["tower_strict"]),
+    },
+    "lift_bond_commutes": {
+        "lifting commutes with the bonds": (
+            "hawaiian-suite", lifting, "lift_word",
+            lambda real: lambda sys, word, start: real(sys, word, start) ^ 1, "fail",
+            ["lift_bond_commutes"]),
+    },
+    "dropping_a_circle_disconnects": {
+        "dropping a circle disconnects": (
+            "hawaiian-suite", hawaiian, "is_connected",
+            lambda real: lambda graph, omit_circle=None: (
+                omit_circle is not None or real(graph)), "fail",
+            ["dropping_a_circle_disconnects"]),
+    },
+    "endpoint_agrees": {
+        "the lift ends at start + exponent sum": (
+            "solenoid-lift", lifting, "lift_word_flagged",
+            lambda real: lambda sys, word, start: (
+                (real(sys, word, start)[0] + 1) % len(sys.fibre), False), "fail",
+            ["endpoint_agrees"]),
+    },
+    "transitive": {
+        "the loop acts transitively": (
+            "solenoid-lift", lifting, "orbit_partition",
+            lambda real: lambda sys: [part for orbit in real(sys)
+                                      for part in (orbit[:4], orbit[4:])], "fail",
+            ["transitive"]),
+    },
+    "no_truncation_crossed": {
+        "no truncation artifact is crossed": (
+            "solenoid-lift", lifting, "lift_word_flagged",
+            lambda real: lambda sys, word, start: (real(sys, word, start)[0], True), "fail",
+            ["no_truncation_crossed"]),
+    },
+    "only_degree_1_admissible": {
+        "only degree 1 is admissible": (
+            "covers-obstruction", covers, "factorization_obstruction",
+            lambda real: lambda degree: real(degree) or degree == 2, "fail",
+            ["only_degree_1_admissible"]),
+    },
+    "none_simultaneously_compatible": {
+        "no exhaustive class is simultaneously compatible": (
+            "covers-obstruction", covers, "cyclic_quotient_compatible",
+            lambda real: lambda rep, petal, base: True, "fail",
+            ["none_simultaneously_compatible"]),
+    },
 }
+ROWS = {row: (check, *spec) for check, rows in MUTANTS.items() for row, spec in rows.items()}
 
 # broken model -> (experiment, [(module, function, mutant built from the real
 # function)], words of the inconsistency the report must name)
@@ -255,15 +331,30 @@ def run_cli(capsys, experiment: str) -> tuple[int, dict]:
 
 @pytest.mark.parametrize("experiment", ARGV)
 def test_unmutated_run_passes(capsys, experiment):
-    assert run_cli(capsys, experiment)[0] == 0
+    code, report = run_cli(capsys, experiment)
+    assert (code, report["failed_checks"]) == (0, [])
 
 
-@pytest.mark.parametrize("conjunct", MUTANTS)
-def test_mutant_fails_the_verdict(monkeypatch, capsys, conjunct):
-    experiment, module, name, mutant, verdict = MUTANTS[conjunct]
+@pytest.mark.parametrize("row", ROWS)
+def test_mutant_fails_the_verdict(monkeypatch, capsys, row):
+    _, experiment, module, name, mutant, verdict, failed_checks = ROWS[row]
     monkeypatch.setattr(module, name, mutant(getattr(module, name)))
     code, report = run_cli(capsys, experiment)
-    assert (code, report["verdict"]) == (1, verdict)
+    assert (code, report["verdict"], report["failed_checks"]) == (1, verdict, failed_checks)
+
+
+@pytest.mark.parametrize("experiment", ARGV)
+def test_every_check_has_a_mutant(experiment):
+    """Each row fails the check it is filed under, and together the rows of an
+    experiment fail every check its runner returns, and only those."""
+    args = vars(cli.build_parser().parse_args(["--experiment", experiment, *ARGV[experiment]]))
+    del args["config"]
+    checks, _ = experiments.SPECS[experiment].runner(
+        **experiments.ExperimentConfig(**args).echoed)
+    rows = [(check, failed_checks) for check, owner, *_, failed_checks in ROWS.values()
+            if owner == experiment]
+    assert all(check in failed_checks for check, failed_checks in rows)
+    assert {name for _, failed_checks in rows for name in failed_checks} == set(checks)
 
 
 @pytest.mark.parametrize("mutated", [False, True])
@@ -278,7 +369,8 @@ def test_full_cycle_conjunct_can_fail(monkeypatch, capsys, mutated):
         monkeypatch.setattr(
             covers, "cyclic_quotient_compatible", lambda rep, petal, base: True)
     code, report = run_cli(capsys, "covers-obstruction")
-    assert (code, report["verdict"]) == ((1, "fail") if mutated else (0, "pass"))
+    assert (code, report["failed_checks"]) == (
+        (1, ["none_simultaneously_compatible"]) if mutated else (0, []))
 
 
 def test_every_surjectivity_target_is_checked(monkeypatch):
@@ -288,10 +380,10 @@ def test_every_surjectivity_target_is_checked(monkeypatch):
         hawaiian, "connect_fibre_points",
         lambda level, source, target: (
             () if (level, target) == (9, 511) else real(level, source, target)))
-    verdict, payload = experiments.run_hawaiian_suite(
+    checks, payload = experiments.run_hawaiian_suite(
         circles=9, level=9, words=1, seed=1)
     row = payload["levels"][8]
-    assert verdict == "fail"
+    assert [name for name, ok in checks.items() if not ok] == ["boundary_surjective"]
     assert (row["level"], row["boundary_surjective"], row["surjectivity_targets"]) == (
         9, False, 512)
 
@@ -302,5 +394,6 @@ def test_broken_model_fails_with_a_report(monkeypatch, capsys, model):
     for module, name, mutant in patches:
         monkeypatch.setattr(module, name, mutant(getattr(module, name)))
     code, report = run_cli(capsys, experiment)
-    assert (code, report["verdict"]) == (1, "fail")
+    assert (code, report["verdict"], report["failed_checks"]) == (
+        1, "fail", ["model_consistent"])
     assert inconsistency in report["payload"]["inconsistent_model"]
