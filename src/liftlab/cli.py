@@ -98,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
         config = _merge_config(build_parser().parse_args(argv))
         report = run(config)
         text = report.to_json()
-        if config.out:
+        if config.out is not None:
             with open(config.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
     except (OSError, ValueError) as err:

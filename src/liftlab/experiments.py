@@ -594,12 +594,12 @@ class ExperimentConfig:
 
     Every check of keys, types, seed and bounds happens here, once, before
     any work starts: known keys and name, types, a floor of 1 on numeric
-    knobs, a 64-bit seed, a seed for experiments that draw samples, then the
-    bounds of each declared knob once its default is applied. A key given as
-    None counts as not given. ``echoed`` holds the declared knobs and any seed
-    given; an undeclared knob is accepted and not echoed. A runner raises
-    UsageError for what only it can check: a loop word, a fibre point,
-    ``--level`` against ``--circles``.
+    knobs, a nonempty ``out``, a 64-bit seed, a seed for experiments that
+    draw samples, then the bounds of each declared knob once its default is
+    applied. A key given as None counts as not given. ``echoed`` holds the
+    declared knobs and any seed given; an undeclared knob is accepted and not
+    echoed. A runner raises UsageError for what only it can check: a loop
+    word, a fibre point, ``--level`` against ``--circles``.
     """
 
     def __init__(self, /, experiment: str | None = None, **given) -> None:
@@ -620,6 +620,8 @@ class ExperimentConfig:
                 raise UsageError(f"{flag(key)} must be {what}, not {value!r}")
             if type(value) is int and key != "seed" and value < 1:
                 raise UsageError(f"{flag(key)} must be >= 1")
+        if given.get("out") == "":
+            raise UsageError("--out must name a file, not ''")
         seed = given.get("seed")
         if seed is not None and not 0 <= seed < 2**64:
             raise UsageError("--seed must fit in 64 bits")

@@ -3,7 +3,10 @@
 A :class:`TruncatedPadic` is a p-adic integer known modulo ``base**precision``.
 All operations are residue arithmetic with arbitrary-precision integers; no
 floating point enters anywhere. Digit strings are ASCII, least significant
-digit first, so ``"011"`` in base 2 denotes the residue 6.
+digit first, so ``"011"`` in base 2 denotes the residue 6. The results of
+add, neg, sub and scale reuse their operand's checked base, precision and
+modulus and are not checked again: that is exact, since each result has the
+operand's base and precision and its residue is reduced mod that modulus.
 
 The glue is the complete prefix-free binary code {0: 00, 1: 01, 2: 1} for
 ternary digits. Reading a binary digit stream through the code
@@ -76,7 +79,8 @@ def digits_to_int(digits: str, base: int) -> int:
 class TruncatedPadic:
     """A p-adic integer known to ``precision`` digits in the given base.
 
-    ``modulus`` is ``base**precision``, computed once at construction.
+    ``modulus`` is ``base**precision``, computed and checked once at construction;
+    arithmetic results copy it, ``base`` and ``precision`` from their operand.
     """
 
     base: int
@@ -107,23 +111,30 @@ def _check_compatible(x: TruncatedPadic, y: TruncatedPadic) -> None:
         )
 
 
+def _derived(x: TruncatedPadic, residue: int) -> TruncatedPadic:
+    """``residue``, already reduced mod ``x.modulus``, at the checked base and precision of x."""
+    value = object.__new__(TruncatedPadic)
+    value.__dict__.update(base=x.base, precision=x.precision, residue=residue, modulus=x.modulus)
+    return value
+
+
 def padic_add(x: TruncatedPadic, y: TruncatedPadic) -> TruncatedPadic:
     _check_compatible(x, y)
-    return TruncatedPadic(x.base, x.precision, (x.residue + y.residue) % x.modulus)
+    return _derived(x, (x.residue + y.residue) % x.modulus)
 
 
 def padic_neg(x: TruncatedPadic) -> TruncatedPadic:
-    return TruncatedPadic(x.base, x.precision, (-x.residue) % x.modulus)
+    return _derived(x, (-x.residue) % x.modulus)
 
 
 def padic_sub(x: TruncatedPadic, y: TruncatedPadic) -> TruncatedPadic:
     _check_compatible(x, y)
-    return TruncatedPadic(x.base, x.precision, (x.residue - y.residue) % x.modulus)
+    return _derived(x, (x.residue - y.residue) % x.modulus)
 
 
 def padic_scale(n: int, x: TruncatedPadic) -> TruncatedPadic:
     """Integer multiple ``n * x`` at fixed precision; ``n`` may be negative."""
-    return TruncatedPadic(x.base, x.precision, (n * x.residue) % x.modulus)
+    return _derived(x, (n * x.residue) % x.modulus)
 
 
 def padic_valuation(x: TruncatedPadic) -> int:
@@ -189,10 +200,13 @@ def glue_forward(glue: PrefixCodeHomeo, binary: str) -> GlueResult:
     The count of decoded digits is the achieved precision on the ternary side.
     """
     tail = binary.lstrip("01")  # everything from the first non-binary character
-    marked = binary[: len(binary) - len(tail)].replace("00", "a").replace("01", "b")
+    if tail:
+        binary = binary[: len(binary) - len(tail)]
+    marked = binary.replace("00", "a").replace("01", "b")
+    # tuple.__new__ builds the named tuple in C, skipping its Python-level __new__
     if marked.endswith("0"):  # half a codeword
-        return GlueResult(marked[:-1].translate(glue.decode), "0" + tail)
-    return GlueResult(marked.translate(glue.decode), tail)
+        return tuple.__new__(GlueResult, (marked[:-1].translate(glue.decode), "0" + tail))
+    return tuple.__new__(GlueResult, (marked.translate(glue.decode), tail))
 
 
 def glue_backward(glue: PrefixCodeHomeo, digits: str) -> str:

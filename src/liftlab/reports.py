@@ -48,6 +48,10 @@ class Report:
     def __post_init__(self) -> None:
         if self.verdict not in VERDICTS:
             raise ValueError(f"verdict {self.verdict!r} outside {VERDICTS}")
+        if (self.verdict in ("pass", "witness-found")) == bool(self.failed_checks):
+            raise ValueError(
+                f"verdict {self.verdict!r} contradicts failed checks {self.failed_checks}"
+            )
 
     @property
     def exit_status(self) -> int:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from liftlab.profinite import (
     GluePrecisionError,
+    GlueResult,
     IncompatibleOperands,
     PrefixCodeHomeo,
     TruncatedPadic,
@@ -113,6 +114,20 @@ class TestArithmetic:
         assert padic_add(x, y).residue == (x.residue + y.residue) % m
         assert padic_sub(x, y).residue == (x.residue - y.residue) % m
         assert padic_scale(n, x).residue == (n * x.residue) % m
+
+    @settings(deadline=None, max_examples=150)
+    @given(padics(max_precision=300), st.integers(-(2**320), 2**320), st.data())
+    def test_derived_values_match_constructed_ones(self, x, n, data):
+        # add, neg, sub and scale skip the constructor's checks; each result
+        # must be indistinguishable from a value built and checked from scratch
+        y = TruncatedPadic(x.base, x.precision, data.draw(st.integers(0, x.modulus - 1)))
+        for result in (padic_add(x, y), padic_neg(x), padic_sub(x, y), padic_scale(n, x)):
+            built = TruncatedPadic(x.base, x.precision, result.residue)
+            assert type(result) is TruncatedPadic
+            assert result == built and hash(result) == hash(built)
+            assert repr(result) == repr(built) and vars(result) == vars(built)
+            with pytest.raises(ValueError):
+                dataclasses.replace(result, residue=result.modulus)
 
     def test_seeded_bulk_oracle(self):
         rng = Random(20260808)
@@ -313,9 +328,14 @@ class TestGlueCode:
         # off the binary alphabet, everything from the first bad character is leftover
         strings += ["".join(cs) for n in range(10) for cs in itertools.product("01x", repeat=n)]
         strings += ["2", "0\n", "102", "0012\n1", "\n", "1\n0", "000x", "01\n\n"]
+        leftovers = set()
         for s in strings:
             res = glue_forward(glue, s)
+            assert type(res) is GlueResult
             assert (res.digits, res.leftover) == greedy_decode(glue.code, s), repr(s)
+            leftovers.add(res.leftover)
+        # half a codeword, a non-binary tail, and both at once
+        assert {"0", "x", "0x"} <= leftovers
 
     def test_backward_examples(self):
         glue = default_glue()

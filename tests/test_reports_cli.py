@@ -253,6 +253,12 @@ class TestReportShape:
         with pytest.raises(ValueError):
             Report("mt-generate", {}, CLAIMS["mt-generate"], "maybe", [], {}, 0.0)
 
+    @pytest.mark.parametrize("verdict, failed", [("fail", []), ("pass", ["c"])])
+    def test_verdict_must_agree_with_failed_checks(self, verdict, failed):
+        # a passing verdict exactly when no check failed, so exit status agrees
+        with pytest.raises(ValueError, match="contradicts failed checks"):
+            Report("x", {}, {}, verdict, failed, {}, 0.0)
+
     def test_report_document(self):
         report = run(ExperimentConfig(experiment="mt-generate", level=3))
         doc = report.to_dict()
@@ -464,6 +470,19 @@ class TestCli:
         assert result.returncode == 2
         assert result.stderr.startswith("error: ")
         assert result.stderr.count("\n") == 1
+
+    def test_empty_out_usage_error(self):
+        result = run_cli("--experiment", "mt-generate", "--out", "")
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "error: --out must name a file, not ''\n"
+
+    def test_empty_out_in_config_file_usage_error(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"experiment": "mt-generate", "out": ""}))
+        result = run_cli("--config", str(config))
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "error: --out must name a file, not ''\n"
+        assert list(tmp_path.iterdir()) == [config]
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_battery_rejects_a_bad_seed_before_any_report(self, tmp_path, seed):
