@@ -21,6 +21,7 @@ ternary side a power of 3, so only d = 1 admits both.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -29,7 +30,7 @@ from .lifting import MonodromySystem, cycle_lengths
 MAX_DEGREE = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoveringPermutationRep:
     """A connected cover of the figure eight: one permutation per petal."""
 
@@ -203,9 +204,10 @@ def full_cycle_coverings(degree: int, petal: str) -> Iterator[CoveringPermutatio
     i-th power puts the displacement (sigma(d - i) - (d - i)) mod d at
     position 0, so a least sigma has sigma(0) equal to its least
     displacement: sigma(0) = s >= 1 is completed, in lexicographic order,
-    only by values of displacement at least s, and each candidate then
-    passes the exact test against every conjugate. Transitivity is
-    automatic. Feasible through degree 9 and a bit beyond.
+    only by values of displacement at least s. Every other conjugate then
+    starts above sigma(0) except those that tie there, by the i-th power
+    with displacement s at y = d - i, and only those are compared entrywise.
+    Transitivity is automatic. Feasible through degree 9 and a bit beyond.
     """
     if not 1 <= degree <= MAX_DEGREE:
         raise ValueError(f"degree must be in 1..{MAX_DEGREE}")
@@ -227,12 +229,16 @@ def full_cycle_coverings(degree: int, petal: str) -> Iterator[CoveringPermutatio
         ((0, *rest) for rest in itertools.permutations(range(1, d))),
         *(completions((s,), (*range(s), *range(s + 1, d)), s) for s in range(1, d)),
     )
+    # shifted[s][y] == (y + s) % d, except at y = 0, where nothing ties
+    shifted = [(None, *((y + s) % d for y in range(1, d))) for s in range(d)]
     for other in candidates:
         canonical = True
-        for i in range(1, d):
-            # conjugate by cycle^i, entrywise, with early exit
-            for x in range(d):
-                value = (other[(x - i) % d] + i) % d
+        for y in itertools.compress(
+            range(d), map(operator.eq, other, shifted[other[0]])
+        ):
+            # conjugate by cycle^(d - y), entrywise from x = 1, with early exit
+            for x in range(1, d):
+                value = (other[(x + y) % d] - y) % d
                 if value < other[x]:
                     canonical = False
                     break

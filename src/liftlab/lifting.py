@@ -7,6 +7,11 @@ path components are orbits of the generated group, and the deck
 transformations of a connected system are the fibre bijections commuting
 with every petal action. The total space is never materialized.
 
+Orbits and deck transformations walk each petal's forward table only. A
+permutation of a finite fibre has its inverse among its powers, so forward
+steps reach the whole orbit, and a map commuting with every forward step
+commutes with its inverse too.
+
 Word evaluation is left to right: the first letter acts first, matching
 path concatenation. Cycle structure and tower strictness are stated here
 too, once for every model; this module imports no other ``liftlab`` module.
@@ -18,6 +23,7 @@ the flag through rather than silently pretending the model is complete.
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from collections.abc import Hashable
@@ -71,7 +77,10 @@ class MonodromySystem:
     mapping or an iterable of (point, image) pairs. ``metric``, when present,
     is an exact rational function on fibre pairs. ``clamped`` flags the
     transitions (petal, point) that only close off a truncated infinite orbit.
-    Systems are never mutated, so they are safe to share across threads.
+    ``inverse``, each petal's inverse table, is filled on first use (only
+    lifting an inverse letter reads it); nothing else is ever written, and
+    two threads that race to fill it build equal tables, so systems are safe
+    to share across threads.
     """
 
     def __init__(self, fibre, actions, metric=None, clamped=frozenset()):
@@ -83,18 +92,19 @@ class MonodromySystem:
         if len(self.index) != len(self.fibre):
             raise ValueError("fibre labels must be distinct")
         self.actions = {petal: dict(act) for petal, act in actions.items()}
-        points = set(self.fibre)
+        points = self.index.keys()
         for petal, act in self.actions.items():
             if act.keys() != points or set(act.values()) != points:
                 raise ValueError(f"action of petal {petal!r} is not a fibre bijection")
-        self.inverse = {
-            petal: dict(zip(act.values(), act)) for petal, act in self.actions.items()
-        }
         self.metric = metric
         self.clamped = frozenset(clamped)
         for petal, point in self.clamped:
             if petal not in self.actions or point not in self.index:
                 raise ValueError(f"clamp flag ({petal!r}, {point!r}) references nothing")
+
+    @functools.cached_property
+    def inverse(self) -> dict:
+        return {petal: dict(zip(act.values(), act)) for petal, act in self.actions.items()}
 
     def __repr__(self) -> str:
         return (
@@ -131,12 +141,6 @@ def lift_word(sys: MonodromySystem, word: LoopWord, start):
     return lift_word_flagged(sys, word, start)[0]
 
 
-def _step_tables(sys: MonodromySystem) -> list[dict]:
-    """Each petal's action and its inverse as point tables, petal by petal."""
-    return [table for petal in sys.petals
-            for table in (sys.actions[petal], sys.inverse[petal])]
-
-
 def orbit_partition(sys: MonodromySystem) -> list[list]:
     """Orbits of the group generated by all petal actions.
 
@@ -144,7 +148,7 @@ def orbit_partition(sys: MonodromySystem) -> list[list]:
     space. Orbits are returned sorted by least fibre index, each sorted by
     fibre index, so the partition is deterministic.
     """
-    steps = _step_tables(sys)
+    steps = list(sys.actions.values())
     seen = set()
     orbits = []
     for p in sys.fibre:
@@ -308,7 +312,7 @@ def deck_search(sys: MonodromySystem) -> list[dict]:
     """
     if not sys.fibre:
         raise ValueError("deck search needs a connected system, not an empty one")
-    steps = _step_tables(sys)
+    steps = list(sys.actions.values())
     x0 = sys.fibre[0]
     results = [_propagate_equivariant(steps, x0, x0)]
     if len(results[0]) < len(sys.fibre):

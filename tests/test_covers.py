@@ -1,5 +1,6 @@
 """Cover enumeration correctness against brute force and subgroup counts."""
 
+import dataclasses
 import hashlib
 import itertools
 from math import factorial
@@ -150,6 +151,20 @@ class TestHelpers:
         assert cycle_lengths(dict(enumerate((1, 0, 3, 2)))) == [2, 2]
         assert cycle_lengths(dict(enumerate((0, 1, 2)))) == [1, 1, 1]
         assert cycle_lengths({"x": "y", "y": "x", "z": "z"}) == [1, 2]
+
+
+class TestRep:
+    def test_frozen_equal_hashable_and_without_an_instance_dict(self):
+        rep = CoveringPermutationRep(3, (1, 2, 0), (0, 2, 1))
+        twin = CoveringPermutationRep(3, (1, 2, 0), (0, 2, 1))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.degree = 4
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.perm_a = (0, 1, 2)
+        assert rep == twin and hash(rep) == hash(twin) and len({rep, twin}) == 1
+        assert rep != CoveringPermutationRep(3, (1, 2, 0), (1, 0, 2))
+        assert not hasattr(rep, "__dict__")
+        assert (rep.degree, rep.perm_a, rep.perm_b) == (3, (1, 2, 0), (0, 2, 1))
 
 
 class TestObstruction:

@@ -10,6 +10,7 @@ from time import perf_counter
 import pytest
 
 from liftlab import lifting
+from liftlab.covers import CoveringPermutationRep
 from liftlab.lifting import (
     MAX_WORD_LETTERS,
     MonodromySystem,
@@ -395,6 +396,182 @@ class TestDeckSearch:
         assert decks == brute_force_centralizer(sys)
         assert len(decks) == len(sys.fibre)
         assert all(sorted(h) == sorted(h.values()) == sorted(sys.fibre) for h in decks)
+
+
+def two_sided_steps(sys):
+    """Every petal's action and its inverse, the inverse built here."""
+    return [table for act in sys.actions.values()
+            for table in (act, {v: k for k, v in act.items()})]
+
+
+def reference_orbits(sys):
+    """Orbits by a walk over actions and inverses, sorted as orbit_partition sorts."""
+    steps = two_sided_steps(sys)
+    orbits, seen = [], set()
+    for p in sys.fibre:
+        if p not in seen:
+            orbit, frontier = {p}, [p]
+            while frontier:
+                q = frontier.pop()
+                for nxt in (step[q] for step in steps):
+                    if nxt not in orbit:
+                        orbit.add(nxt)
+                        frontier.append(nxt)
+            seen |= orbit
+            orbits.append(sorted(orbit, key=sys.index.__getitem__))
+    return orbits
+
+
+def reference_decks(sys):
+    """deck_search as it was before the forward-only walk: each target of the
+    first point propagated over actions and inverses, kept without a conflict."""
+    steps = two_sided_steps(sys)
+    x0 = sys.fibre[0]
+    found = []
+    for y in sys.fibre:
+        h, stack = {x0: y}, [x0]
+        while stack and h is not None:
+            p = stack.pop()
+            for step in steps:
+                q, image = step[p], step[h[p]]
+                if q not in h:
+                    h[q] = image
+                    stack.append(q)
+                elif h[q] != image:
+                    h = None
+                    break
+        if h is not None:
+            found.append(h)
+    return found
+
+
+def seeded_system(rng: Random) -> MonodromySystem:
+    """1-3 petals on 1-12 points; half the time each petal permutes within
+    random blocks, so the system is often disconnected."""
+    n = rng.randint(1, 12)
+    points = list(range(n))
+    rng.shuffle(points)
+    cuts = []
+    if rng.random() < 0.5:
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, min(3, n - 1))))
+    blocks = [points[i:j] for i, j in zip([0, *cuts], [*cuts, n])]
+    actions = {}
+    for petal in ("a", "b", "c")[: rng.randint(1, 3)]:
+        actions[petal] = {}
+        for block in blocks:
+            images = block[:]
+            rng.shuffle(images)
+            actions[petal].update(zip(block, images))
+    fibre = list(range(n))
+    rng.shuffle(fibre)
+    return MonodromySystem(fibre, actions)
+
+
+class CountingTable(dict):
+    """A point table that counts its reads in a shared one-item list."""
+
+    def __init__(self, table, reads):
+        super().__init__(table)
+        self.reads = reads
+
+    def __getitem__(self, key):
+        self.reads[0] += 1
+        return super().__getitem__(key)
+
+
+class TestForwardWalks:
+    def test_forward_walks_match_two_sided_references(self):
+        rng = Random(20261020)
+        disconnected = 0
+        for _ in range(300):
+            sys = seeded_system(rng)
+            orbits = orbit_partition(sys)
+            assert orbits == reference_orbits(sys)
+            if len(orbits) > 1:
+                disconnected += 1
+                with pytest.raises(ValueError, match="needs a connected system"):
+                    deck_search(sys)
+            for orbit in orbits:
+                part = MonodromySystem(orbit, {
+                    petal: {p: act[p] for p in orbit} for petal, act in sys.actions.items()
+                })
+                # brute force up to 7! maps; past that the two-sided reference
+                oracle = brute_force_centralizer if len(orbit) <= 7 else reference_decks
+                assert deck_search(part) == oracle(part)
+        assert 50 < disconnected < 250
+
+    @pytest.mark.parametrize("sys", [
+        solenoid_level(2, 4),
+        MonodromySystem(range(6), {"a": {x: (x + 1) % 6 for x in range(6)},
+                                   "b": {x: (-x) % 6 for x in range(6)}}),
+        MonodromySystem(range(7), {"a": {x: (x + 1) % 7 for x in range(7)},
+                                   "b": {x: (2 * x) % 7 for x in range(7)},
+                                   "c": {x: x for x in range(7)}}),
+    ], ids=["k1-n16", "k2-n6", "k3-n7"])
+    def test_identity_propagation_reads_each_forward_table_twice_per_point(
+        self, monkeypatch, sys
+    ):
+        # each point reads every forward table at itself and at its image:
+        # 2*k*n reads, where a walk over the inverse tables too reads 4*k*n
+        reads = [0]
+        for petal, act in sys.actions.items():
+            sys.actions[petal] = CountingTable(act, reads)
+        sys.inverse = {petal: CountingTable({v: k for k, v in act.items()}, reads)
+                       for petal, act in sys.actions.items()}
+        per_call = []
+        real = lifting._propagate_equivariant
+
+        def counted(*args):
+            before = reads[0]
+            result = real(*args)
+            per_call.append(reads[0] - before)
+            return result
+
+        monkeypatch.setattr(lifting, "_propagate_equivariant", counted)
+        decks = deck_search(sys)
+        assert len(per_call) == len(sys.fibre) and decks[0] == {p: p for p in sys.fibre}
+        assert per_call[0] == 2 * len(sys.petals) * len(sys.fibre)
+
+
+class TestInverseTables:
+    def test_inverse_is_built_only_by_an_inverse_letter(self):
+        systems = [
+            CoveringPermutationRep(3, (1, 2, 0), (0, 2, 1)).as_system(),
+            solenoid_level(3, 2),
+            random_permutation_system(5, 9),
+        ]
+        tower = solenoid_tower(2, 4)
+        assert tower_strictness_check(tower) == ()
+        for sys in [*systems, *tower.levels]:
+            if len(orbit_partition(sys)) == 1:
+                deck_search(sys)
+            lift_word(sys, ((sys.petals[0], 1),) * 3, sys.fibre[0])
+            assert "inverse" not in vars(sys)
+        for sys in systems:
+            lift_word(sys, (("a", -1),), sys.fibre[0])
+            assert sys.inverse == {
+                p: {v: k for k, v in act.items()} for p, act in sys.actions.items()
+            }
+
+    @pytest.mark.parametrize("fibre, actions, clamped, message", [
+        ([0, 1, 2], {"a": {0: 1, 1: 1, 2: 0}}, (), "not a fibre bijection"),
+        ([0, 1], {"a": {0: 1, 1: 5}}, (), "not a fibre bijection"),
+        ([0, 1, 2], {"a": {0: 1, 1: 0}}, (), "not a fibre bijection"),
+        ([0, 1], {"a": {0: 1, 1: 0, 2: 2}}, (), "not a fibre bijection"),
+        ([0, 1], {"a": {0: 0, 1: 1}, "b": {0: 0}}, (), "petal 'b' is not"),
+        ([0, 0], {"a": {0: 1}}, (("z", 9),), "fibre labels must be distinct"),
+        ([0, 0], {}, (), "at least one petal"),
+        ([0, 1], {"a": {0: 1, 1: 0}}, (("b", 0),), r"clamp flag \('b', 0\)"),
+        ([0, 1], {"a": {0: 1, 1: 0}}, (("a", 2),), r"clamp flag \('a', 2\)"),
+        ([0, 1], {"a": {0: 0}}, (("b", 0),), "not a fibre bijection"),
+    ], ids=["repeated-image", "image-outside", "missing-key", "extra-key",
+            "second-petal", "labels-before-actions", "petals-first",
+            "clamp-unknown-petal", "clamp-unknown-point", "actions-before-clamps"])
+    def test_malformed_input_keeps_its_message_and_check_order(
+        self, fibre, actions, clamped, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            MonodromySystem(fibre, actions, clamped=frozenset(clamped))
 
 
 class TestTowers:
