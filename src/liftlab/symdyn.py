@@ -27,8 +27,7 @@ from math import lcm
 from random import Random
 
 from .lifting import (
-    InconsistentModel, MonodromySystem, TowerModel, cycle_lengths, orbit_partition,
-    tower_strictness_check,
+    MonodromySystem, TowerModel, cycle_lengths, orbit_partition, tower_strictness_check,
 )
 
 
@@ -348,18 +347,21 @@ def equicontinuity_modulus(tower: StrictTower) -> list[dict]:
     bond; then x K y gives step^k x K step^k y for every k by induction on k,
     and the converse is the case k = 1. So each fibre needs only the bond
     images of its members' one-step images, which must all be equal, and a
-    tower fails here exactly when some power of the step breaks agreement.
+    level fails here exactly when some power of the step breaks agreement.
 
-    The table records, per level, the ordered pairs certified (the squared
-    fibre sizes; the top level counts its points) and in ``powers_checked``
-    the order of the step, the lcm of its cycle lengths: the powers up to it
-    are all the distinct powers, each certified by the induction.
+    The table records, per level, ``delta_level``: the level, or None where
+    the step breaks agreement (over an equivariant bond it never does); the
+    ordered pairs checked (the squared fibre sizes; the top level counts its
+    points); and in ``powers_checked`` the order of the step, the lcm of its
+    cycle lengths: the powers up to it are all the distinct powers, each
+    certified by the induction.
     """
     table = []
     top = len(tower.levels)
     for n in range(1, top + 1):
         upper = tower.levels[min(n, top - 1)]  # the top row reads the top level
         step = upper.actions["a"]
+        delta = n
         if n == top:
             pairs = len(upper.fibre)
         else:
@@ -368,13 +370,12 @@ def equicontinuity_modulus(tower: StrictTower) -> list[dict]:
             sizes = Counter(below)
             above = map(bond.__getitem__, map(step.__getitem__, upper.fibre))
             # K is preserved by the step iff each fibre steps into one fibre
-            if len(set(zip(below, above))) != len(sizes):
-                raise InconsistentModel("agreement not preserved; tower invariants violated")
+            delta = n if len(set(zip(below, above))) == len(sizes) else None
             pairs = sum(size * size for size in sizes.values())
         table.append(
             {
                 "level": n,
-                "delta_level": n,
+                "delta_level": delta,
                 "pairs_checked": pairs,
                 "powers_checked": lcm(*cycle_lengths(step)),
             }

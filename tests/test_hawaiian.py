@@ -190,7 +190,15 @@ class TestKernelCharacterizations:
             word = tuple(
                 (rng.randint(1, 6), rng.choice((1, -1))) for _ in range(length)
             )
-            kernel_check(word, 4)  # raises if the two routes disagree
+            assert kernel_check(word, 4) == (parity_boundary(word, 4) == 0)
+
+    def test_a_lift_that_disagrees_with_the_parity_fails(self, monkeypatch):
+        commutator = ((1, 1), (2, 1), (1, -1), (2, -1))
+        real = lift_word_hn
+        monkeypatch.setattr("liftlab.hawaiian.lift_word_hn",
+                            lambda level, word, start: real(level, word, start) ^ 1)
+        assert parity_boundary(commutator, 2) == 0
+        assert not kernel_check(commutator, 2)
 
 
 class TestDeckGroup:
@@ -218,6 +226,16 @@ class TestDeckGroup:
             for eps in fibre:
                 images = [apply_deck(delta, eps) for delta in group]
                 assert sorted(images) == sorted(fibre)
+
+    def test_keeps_only_searched_sign_multiplications(self, monkeypatch):
+        # a search that misses an element and adds a map that is not a sign
+        # multiplication: the group is what remains, short of the closed form
+        found = deck_search(hn_level(3, 3))
+        swapped = {eps: eps for eps in all_sign_vectors(3)} | {1: 2, 2: 1}
+        monkeypatch.setattr("liftlab.hawaiian.deck_search",
+                            lambda sys: found[1:] + [swapped])
+        assert deck_group_hn(3) == sorted(h[ALL_PLUS] for h in found[1:])
+        assert len(deck_group_hn(3)) == 7
 
     def test_exhaustive_bound(self, monkeypatch):
         # above level 4 no exhaustive search runs; the closed form is returned

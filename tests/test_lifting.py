@@ -20,7 +20,6 @@ from liftlab.lifting import (
     golden_ratio_64bit,
     inverse_word,
     lift_word,
-    lift_word_flagged,
     orbit_closure,
     orbit_partition,
     parse_loop_word,
@@ -89,27 +88,26 @@ class TestLifting:
         assert lift_word(sys, parse_loop_word("a"), "top") == "top"
         assert lift_word(sys, parse_loop_word("a^-3"), "bot") == "bot"
 
+    def test_lift_through_a_clamp(self):
+        # the wrap transition closing the truncated orbit is lifted like any
+        # other; its flag lives on orbit data (test_cover_degree_flags)
+        sys = spiral_system(3)
+        assert ("a", 3) in sys.clamped
+        assert lift_word(sys, parse_loop_word("a"), 3) == -3
+        assert lift_word(sys, parse_loop_word("a"), 0) == 1
+
     def test_unknown_petal_and_bad_start(self):
         sys = solenoid_level(2, 2)
-        for lift in (lift_word, lift_word_flagged):
-            with pytest.raises(ValueError):
-                lift(sys, parse_loop_word("b"), 0)
-            with pytest.raises(ValueError):
-                lift(sys, parse_loop_word("a"), 99)
+        with pytest.raises(ValueError):
+            lift_word(sys, parse_loop_word("b"), 0)
+        with pytest.raises(ValueError):
+            lift_word(sys, parse_loop_word("a"), 99)
 
     @pytest.mark.parametrize("exp", [2, 0, -2])
     def test_exponents_other_than_one_or_minus_one_rejected(self, exp):
         sys = solenoid_level(2, 3)
-        for lift in (lift_word, lift_word_flagged):
-            with pytest.raises(ValueError, match=f"1 or -1, got {exp}"):
-                lift(sys, (("a", exp),), 0)
-
-    def test_clamp_flag_reported(self):
-        sys = spiral_system(3)
-        end, crossed = lift_word_flagged(sys, parse_loop_word("a"), 3)
-        assert end == -3 and crossed
-        end, crossed = lift_word_flagged(sys, parse_loop_word("a"), 0)
-        assert end == 1 and not crossed
+        with pytest.raises(ValueError, match=f"1 or -1, got {exp}"):
+            lift_word(sys, (("a", exp),), 0)
 
     def test_functoriality_seeded(self):
         rng = Random(424242)

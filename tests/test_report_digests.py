@@ -29,7 +29,7 @@ DIGESTS = {
         "2229288fdd2877d5377c304a0071a2aee122703bc9bb2c9fabdbc2758c45d321"),
     "solenoid-lift": (
         {"level": 3, "word": "a^7 a^-2", "start": "1"},
-        "7cfa1d098ba817041d17869cc8d306a63d182b1500732b1ea87ebb0c77921703"),
+        "6b270d314e0dcec63ed127ada2f7563d175e7bfca7422860c6987b98214762b1"),
     "amalgam-rigidity": (
         {"seed": 1, "precision": 32, "words": 10, "depth": 10},
         "064ccecbf75eb5dde5a669f19957369c04c8738aac56b1bb6bd2517b4f9f00de"),

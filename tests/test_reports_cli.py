@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liftlab import amalgam, cli, experiments, lifting
+from liftlab import cli, experiments
 from liftlab.cli import build_parser
 from liftlab.experiments import (
     KNOB_TYPES,
@@ -199,13 +199,6 @@ class TestResourceBounds:
 
 
 class TestHonestVerdicts:
-    def test_amalgam_deck_cross_check_gates_verdict(self, monkeypatch):
-        assert run(ExperimentConfig(experiment="amalgam-deck", precision=2)).failed_checks == []
-        monkeypatch.setattr(amalgam, "centralizer_deck_search", lambda model: [0, 2])
-        report = run(ExperimentConfig(experiment="amalgam-deck", precision=2))
-        assert report.payload["identity_only"]
-        assert report.failed_checks == ["cross_check_agrees"]
-
     def test_amalgam_rigidity_redraws_the_uncertifiable_residue(self):
         # at odd precision m the normalized glue image of 2^(m-1) vanishes at
         # the certified ternary precision; like 0, it is drawn again
@@ -216,25 +209,6 @@ class TestHonestVerdicts:
                     experiment="amalgam-rigidity", seed=seed, precision=m, depth=2))
                 assert report.failed_checks == []
                 assert all(row["a"] != top for row in report.payload["samples"])
-
-    @pytest.mark.parametrize("fault", ["endpoint", "crossed", "orbits"])
-    def test_solenoid_lift_verdict_from_claim(self, monkeypatch, fault):
-        config = ExperimentConfig(experiment="solenoid-lift", level=3, word="a^5 a^-2")
-        assert run(config).failed_checks == []
-        lift, orbits = lifting.lift_word_flagged, lifting.orbit_partition
-        if fault == "endpoint":
-            monkeypatch.setattr(lifting, "lift_word_flagged",
-                                lambda *args: (lift(*args)[0] + 1, False))
-        elif fault == "crossed":
-            monkeypatch.setattr(lifting, "lift_word_flagged",
-                                lambda *args: (lift(*args)[0], True))
-        else:
-            monkeypatch.setattr(lifting, "orbit_partition",
-                                lambda sys: [part for orbit in orbits(sys)
-                                             for part in (orbit[:4], orbit[4:])])
-        assert run(config).failed_checks == [
-            {"endpoint": "endpoint_agrees", "crossed": "no_truncation_crossed",
-             "orbits": "transitive"}[fault]]
 
 
 class TestClaimsRegistry:
