@@ -25,7 +25,6 @@ model is complete. Path lifting returns its endpoint only.
 from __future__ import annotations
 
 import functools
-import operator
 import re
 from collections.abc import Hashable
 from dataclasses import dataclass
@@ -385,14 +384,35 @@ def random_permutation_system(seed: int, fibre_size: int) -> MonodromySystem:
 
 
 def rotation_orbit_gaps(alpha: Fraction, count: int) -> Fraction:
-    """Largest circular gap in {k * alpha mod 1 : k < count}, exactly."""
+    """Largest circular gap in {k * alpha mod 1 : k < count}, exactly.
+
+    No point is placed. By the three-distance theorem (V. T. Sós, 1958;
+    S. Świerczkowski, 1959) the gaps take at most three lengths, read off a
+    subtractive Euclid walk on alpha = a/q in fewer than count steps (about
+    log count for the golden ratio, whose partial quotients are all 1).
+    With x_k = k * a mod q,
+    the walk keeps u and v, the indices in [1, count) whose points lie
+    nearest 0 from above and from below, and lo = x_u, hi = q - x_v. While
+    u + v < count, x_{u+v} = x_u + x_v becomes the nearest point on the side
+    of the larger of lo and hi, which shrinks by the smaller. Then the gaps
+    are lo (count - v of them), hi (count - u) and lo + hi (u + v - count).
+    """
     if count < 2:
         raise ValueError("need at least two orbit points")
-    # with alpha = a/q, k * alpha mod 1 is (k * a mod q) / q: sort integers
-    a, q = alpha.numerator, alpha.denominator
-    points = sorted(k * a % q for k in range(count))
-    inner = max(map(operator.sub, points[1:], points))
-    return Fraction(max(inner, points[0] + q - points[-1]), q)
+    q = alpha.denominator
+    if count >= q:  # the orbit is all of (1/q)Z/Z
+        return Fraction(1, q)
+    lo = alpha.numerator % q
+    hi = q - lo
+    u = v = 1
+    while u + v < count:
+        if lo > hi:
+            lo -= hi
+            u += v
+        else:
+            hi -= lo
+            v += u
+    return Fraction(lo + hi if u + v > count else max(lo, hi), q)
 
 
 def golden_ratio_64bit() -> Fraction:

@@ -2,8 +2,10 @@
 
 import itertools
 import json
+import operator
 from bisect import insort
 from fractions import Fraction
+from math import gcd
 from random import Random
 from time import perf_counter
 
@@ -604,6 +606,25 @@ class TestTowers:
             )
 
 
+def sorted_orbit_gap(alpha: Fraction, count: int) -> Fraction:
+    """The largest gap of {k * alpha mod 1 : k < count} by an exact sort.
+
+    With alpha = a/q, k * alpha mod 1 is (k * a mod q) / q, so the sort is
+    of integers; this is the reference for the closed-form kernel.
+    """
+    a, q = alpha.numerator, alpha.denominator
+    points = sorted(k * a % q for k in range(count))
+    inner = max(map(operator.sub, points[1:], points), default=0)
+    return Fraction(max(inner, points[0] + q - points[-1]), q)
+
+
+def fibonacci_up_to(limit: int) -> list[int]:
+    fib = [1, 2]
+    while fib[-1] + fib[-2] <= limit:
+        fib.append(fib[-1] + fib[-2])
+    return fib
+
+
 class TestRotation:
     def test_two_points(self):
         alpha = Fraction(3, 7)
@@ -638,6 +659,37 @@ class TestRotation:
             assert len(lengths) <= 3, count
             if len(lengths) == 3:
                 assert lengths[2] == lengths[0] + lengths[1], count
+
+    @pytest.mark.parametrize("q", range(1, 26))
+    def test_every_small_rational_matches_the_sort(self, q):
+        # numerators in [-q, 2q] cover negative, integer and above-1 alphas,
+        # and counts up to 2q + 2 pass count >= q, where the orbit is full
+        for a in range(-q, 2 * q + 1):
+            if gcd(a, q) != 1:
+                continue
+            alpha = Fraction(a, q)
+            for count in range(2, 2 * q + 3):
+                assert rotation_orbit_gaps(alpha, count) == sorted_orbit_gap(
+                    alpha, count), (alpha, count)
+
+    def test_golden_matches_the_sort_across_fibonacci_counts(self):
+        # the walk's steps change regime at the Fibonacci numbers
+        alpha = golden_ratio_64bit()
+        counts = {2_500, 5_000, 10_000, 100_000}
+        for f in fibonacci_up_to(100_000):
+            counts.update(c for c in (f - 1, f, f + 1) if c >= 2)
+        for count in sorted(counts):
+            assert rotation_orbit_gaps(alpha, count) == sorted_orbit_gap(
+                alpha, count), count
+
+    def test_random_rationals_match_the_sort(self):
+        rng = Random(31)
+        for _ in range(200):
+            q = rng.randrange(2, 10**9)
+            alpha = Fraction(rng.randrange(-q, 2 * q), q)
+            count = rng.randrange(2, 5_000)
+            assert rotation_orbit_gaps(alpha, count) == sorted_orbit_gap(
+                alpha, count), (alpha, count)
 
     def test_golden_approximation_quality(self):
         alpha = golden_ratio_64bit()
